@@ -19,7 +19,7 @@
      dune exec bench/main.exe -- figures 5    # all figures, 5 reps/point
      dune exec bench/main.exe -- ablations    # the ablation studies
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
-                                              # (default BENCH_pr9.json)
+                                              # (default BENCH_pr12.json)
 
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
@@ -292,36 +292,6 @@ let micro_tests () =
           fun () ->
             Sdn_sim.Engine.cancel
               (Sdn_sim.Engine.schedule engine ~delay:1.0 (fun () -> ()))));
-    (* One packet through the allocation-free kernel: pool alloc,
-       frame load, microflow classify + in-place TTL rewrite, egress
-       ring, release.  The minor-words estimate for this subject is
-       the zero-allocation guarantee the gate pins at 0. *)
-    Test.make ~name:"switch/fast-path-packet"
-      (Staged.stage
-         (let fp_pool = Sdn_net.Frame_pool.create ~slots:16 ~slot_size:128 () in
-          let fp =
-            Sdn_switch.Fast_path.create ~pool:fp_pool ~n_ports:2
-              ~ring_capacity:8 ()
-          in
-          let installed =
-            Sdn_switch.Fast_path.install fp ~proto:Sdn_net.Ipv4.proto_udp
-              ~src_ip:0x0A000001 ~dst_ip:0x0A000002 ~src_port:1000 ~dst_port:9
-              ~out_port:1
-          in
-          assert installed;
-          let template =
-            Packet.encode
-              (Packet.udp ~src_mac:mac1 ~dst_mac:mac2 ~src_ip:ip1 ~dst_ip:ip2
-                 ~src_port:1000 ~dst_port:9
-                 ~payload:(Bytes.make 18 'x')
-                 ())
-          in
-          fun () ->
-            let slot = Sdn_net.Frame_pool.alloc fp_pool in
-            Sdn_net.Frame_pool.load fp_pool slot template;
-            let port = Sdn_switch.Fast_path.process fp slot in
-            let out = Sdn_switch.Fast_path.dequeue fp port in
-            ignore (Sdn_net.Frame_pool.release fp_pool out : bool)));
     Test.make ~name:"heap/push-remove-1k"
       (Staged.stage
          (let heap =
@@ -663,27 +633,14 @@ let queue_metrics () =
       ])
     sizes
 
-(* ---- The massive scenario, scaled down to bench size: the
-   allocation-free datapath kernel and the sharded full-pipeline
-   phase.  The words-per-packet metric is the portable zero-allocation
-   guarantee of the switch fast path; the ns rates are informational
-   (host-dependent). *)
+(* ---- The massive scenario, scaled down to bench size: the sharded
+   full pipeline.  The ns rate is informational (host-dependent); the
+   event count is deterministic. *)
 let massive_metrics () =
   let t0 = Monotonic_clock.get () in
-  let w0 = Gc.minor_words () in
-  let dp = Sdn_core.Massive.run_datapath ~flows:1_000 ~packets:500_000 () in
-  let w1 = Gc.minor_words () in
-  let dp_ns = Monotonic_clock.get () -. t0 in
-  let t1 = Monotonic_clock.get () in
   let pl = Sdn_core.Massive.run_pipeline ~flows:20_000 ~shards:4 () in
-  let pl_ns = Monotonic_clock.get () -. t1 in
-  let packets = float_of_int dp.Sdn_core.Massive.dp_packets in
+  let pl_ns = Monotonic_clock.get () -. t0 in
   [
-    ("massive/datapath/ns-per-packet", dp_ns /. packets);
-    (* Setup (pool + table) allocates a handful of words; amortized
-       over the packet loop this must stay ~0 or the fast path has
-       started allocating. *)
-    ("massive/datapath/minor-words-per-packet", (w1 -. w0) /. packets);
     ("massive/pipeline-small/ns-per-event",
      pl_ns /. float_of_int pl.Sdn_core.Massive.pl_sim_events);
     ("massive/pipeline-small/sim-events",
@@ -780,7 +737,7 @@ let () =
       run_figures ();
       Sdn_core.Ablations.run_all ()
   | [ _; "micro" ] -> run_micro ()
-  | [ _; "json" ] -> run_json "BENCH_pr10.json"
+  | [ _; "json" ] -> run_json "BENCH_pr12.json"
   | [ _; "json"; path ] -> run_json path
   | [ _; "ablations" ] -> Sdn_core.Ablations.run_all ()
   | [ _; "figures" ] -> run_figures ()

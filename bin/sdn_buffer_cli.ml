@@ -643,7 +643,7 @@ let massive_cmd =
     Arg.(
       value & opt int 1_000_000
       & info [ "flows" ] ~docv:"N"
-          ~doc:"Flows injected through the full pipeline phase.")
+          ~doc:"Flows injected through the full pipeline.")
   and shards_arg =
     Arg.(
       value & opt int 20
@@ -651,74 +651,47 @@ let massive_cmd =
           ~doc:
             "Independent experiment shards the pipeline flows are split \
              into (the parallel grain for $(b,--jobs)).")
-  and dp_flows_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "datapath-flows" ] ~docv:"N"
-          ~doc:"Microflows installed in the datapath phase's fast path.")
-  and dp_packets_arg =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "datapath-packets" ] ~docv:"N"
-          ~doc:"Packets pushed through the datapath phase.")
   in
-  let run flows shards dp_flows dp_packets seed event_queue check jobs =
+  let run flows shards seed event_queue check jobs =
     (* Deterministic counters go to stdout (CI byte-compares them
-       across --jobs widths and queue backends); wall-clock rates go
-       to stderr only. *)
+       across --jobs widths and queue backends); the wall-clock rate
+       goes to stderr only. *)
     let now () = Int64.to_float (Monotonic_clock.now ()) in
     let t0 = now () in
-    let dp =
-      Massive.run_datapath ~flows:dp_flows ~packets:dp_packets ~check ()
-    in
-    let dp_ns = now () -. t0 in
-    Printf.printf
-      "massive: datapath flows=%d packets=%d forwarded=%d misses=%d \
-       drops=%d pool_slots=%d\n"
-      dp.Massive.dp_flows dp.Massive.dp_packets dp.Massive.dp_forwarded
-      dp.Massive.dp_misses dp.Massive.dp_drops dp.Massive.dp_pool_slots;
-    let t1 = now () in
     let pl =
       Massive.run_pipeline ~flows ~shards ~event_queue ~check ~jobs ~seed ()
     in
-    let pl_ns = now () -. t1 in
+    let pl_ns = now () -. t0 in
     Printf.printf
       "massive: pipeline shards=%d flows=%d packets_in=%d packets_out=%d \
        flows_completed=%d sim_events=%d\n"
       pl.Massive.pl_shards pl.Massive.pl_flows pl.Massive.pl_packets_in
       pl.Massive.pl_packets_out pl.Massive.pl_flows_completed
       pl.Massive.pl_sim_events;
-    Printf.eprintf "massive: datapath %.2f Mpkt/s (wall %.3f s)\n"
-      (float_of_int dp.Massive.dp_packets /. dp_ns *. 1e3)
-      (dp_ns /. 1e9);
     Printf.eprintf
       "massive: pipeline %.2f Mevents/s (wall %.3f s, %d jobs, %s queue)\n"
       (float_of_int pl.Massive.pl_sim_events /. pl_ns *. 1e3)
       (pl_ns /. 1e9) jobs
       (match event_queue with `Heap -> "heap" | `Wheel -> "wheel");
-    let violations =
-      dp.Massive.dp_check_violations + pl.Massive.pl_check_violations
-    in
-    Option.iter (Printf.eprintf "%s\n") dp.Massive.dp_check_report;
     List.iter (Printf.eprintf "%s\n") pl.Massive.pl_check_reports;
-    if violations > 0 then begin
-      Printf.eprintf "massive: %d invariant violations\n" violations;
+    if pl.Massive.pl_check_violations > 0 then begin
+      Printf.eprintf "massive: %d invariant violations\n"
+        pl.Massive.pl_check_violations;
       exit 1
     end
   in
   let term =
     Term.(
-      const run $ flows_arg $ shards_arg $ dp_flows_arg $ dp_packets_arg
-      $ seed_arg $ event_queue_arg $ check_arg $ jobs_arg)
+      const run $ flows_arg $ shards_arg $ seed_arg $ event_queue_arg
+      $ check_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "massive"
        ~doc:
-         "Extreme-scale throughput scenario: saturate the allocation-free \
-          frame-pool datapath, then push an extreme Poisson flow count \
-          through the full switch/controller pipeline in independent \
-          shards. Counters print deterministically on stdout; wall-clock \
-          packet and event rates print on stderr.")
+         "Extreme-scale throughput scenario: push an extreme Poisson flow \
+          count through the full switch/controller pipeline in independent \
+          shards. Counters print deterministically on stdout; the \
+          wall-clock event rate prints on stderr.")
     term
 
 let calibration_cmd =

@@ -36,6 +36,14 @@ let size = function
       8
   | Set_dl_src _ | Set_dl_dst _ | Enqueue _ -> 16
 
+(* The fixed ofp_action_* length for a wire type. The reader checks
+   [len] against it before its fixed-offset reads, so a corrupted type
+   field cannot send them past the buffer. *)
+let wire_size typ =
+  if typ = type_set_dl_src || typ = type_set_dl_dst || typ = type_enqueue then
+    16
+  else 8
+
 let rec list_size = function [] -> 0 | a :: rest -> size a + list_size rest
 
 let type_of = function
@@ -86,7 +94,7 @@ let read_one buf off =
   else begin
     let typ = Bytes.get_uint16_be buf off in
     let len = Bytes.get_uint16_be buf (off + 2) in
-    if len < 8 || len mod 8 <> 0 || off + len > Bytes.length buf then
+    if len <> wire_size typ || off + len > Bytes.length buf then
       Error "Of_action.read: bad action length"
     else begin
       let action =

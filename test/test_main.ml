@@ -14,7 +14,6 @@ let () =
       ("net.addresses", Test_addr.suite);
       ("net.checksum", Test_checksum.suite);
       ("net.packet", Test_packet.suite);
-      ("net.frame_pool", Test_frame_pool.suite);
       ("openflow.match", Test_of_match.suite);
       ("openflow.codec", Test_of_codec.suite);
       ("openflow.codec-fuzz", Test_of_codec_fuzz.suite);
@@ -38,6 +37,7 @@ let () =
       ("lifecycle", Test_lifecycle.suite);
       ("check", Test_check.suite);
       ("parallel", Test_parallel.suite);
+      ("massive", Test_massive.suite);
       ("crash", Test_crash.suite);
       ("lint", Test_lint.suite);
       ("analyze", Test_analyze.suite);

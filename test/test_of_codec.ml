@@ -270,6 +270,37 @@ let test_decode_garbage () =
   Alcotest.(check bool) "unknown type" true
     (Result.is_error (Of_codec.decode bad_type))
 
+(* A corrupted type field can turn an 8-byte action at the end of the
+   buffer into a 16-byte one (set_dl_src): decoding must return [Error]
+   rather than read past the buffer. *)
+let test_short_action_rejected () =
+  let msg =
+    Of_codec.Packet_out
+      {
+        Of_packet_out.buffer_id = 517542862l;
+        in_port = 56659;
+        actions = [ Of_action.Output { port = 29799; max_len = 29563 } ];
+        data = Bytes.empty;
+      }
+  in
+  let buf = Of_codec.encode ~xid:9l msg in
+  Bytes.set_uint8 buf 17 4;
+  Alcotest.(check bool) "set_dl_src with len 8" true
+    (Result.is_error (Of_codec.decode buf));
+  let action_with ~typ ~len =
+    let b = Bytes.make len '\000' in
+    Bytes.set_uint16_be b 0 typ;
+    Bytes.set_uint16_be b 2 len;
+    b
+  in
+  List.iter
+    (fun (typ, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "type %d with len %d" typ len)
+        true
+        (Result.is_error (Of_action.read_list (action_with ~typ ~len) 0 ~len)))
+    [ (4, 8); (5, 8); (11, 8); (0, 16) ]
+
 let test_peek_type () =
   let encoded = Of_codec.encode ~xid:9l (Of_codec.Flow_mod sample_flow_mod) in
   match Of_codec.peek_type encoded with
@@ -346,6 +377,8 @@ let suite =
       test_vendor_messages;
     Alcotest.test_case "paper message sizes" `Quick test_paper_message_sizes;
     Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
+    Alcotest.test_case "short action rejected" `Quick
+      test_short_action_rejected;
     Alcotest.test_case "peek_type" `Quick test_peek_type;
     QCheck_alcotest.to_alcotest prop_actions_roundtrip;
     QCheck_alcotest.to_alcotest prop_packet_in_roundtrip;

@@ -1,6 +1,6 @@
 (* Benchmark regression gate.
 
-   Compares a candidate benchmark snapshot (BENCH_pr4.json written by
+   Compares a candidate benchmark snapshot (the JSON written by
    [bench/main.exe json]) against a committed baseline and fails when a
    metric regresses by more than the threshold.
 
@@ -26,10 +26,9 @@
    [--min derived/wheel_speedup_1m=2.0] keeps the timer wheel >= 2x the
    heap at 1M pending regardless of what the baseline drifted to), and
    a ceiling pins a structural invariant (e.g.
-   [--max massive/datapath/minor-words-per-packet=0.5] is the
-   zero-allocation fast-path guarantee with room for measurement
-   jitter, not for a real allocation). A named metric absent from the
-   candidate is an error.
+   [--max micro/SUBJECT/minor-words=0.5] keeps a subject
+   allocation-free with room for measurement jitter, not for a real
+   allocation). A named metric absent from the candidate is an error.
 
    Usage:
      bench_gate BASELINE.json CANDIDATE.json [--portable]

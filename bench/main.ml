@@ -24,7 +24,8 @@
    The json snapshot also times a small end-to-end sweep at
    --jobs 1/2/4 and records the parallel speedups, so the regression
    gate tracks the Task_pool scaling factor alongside the micro
-   subjects.
+   subjects, and the flow table's install-cost scaling from 1000 to
+   4000 rules, which CI caps to keep inserts linear.
 *)
 
 open Bechamel
@@ -86,23 +87,25 @@ let sample_pkt_in_buffered_msg =
        ~reason:Sdn_openflow.Of_packet_in.No_match ~frame:sample_frame
        ~miss_send_len:(Some 128))
 
+(* Exact 5-tuple rule number [i]: each rule has its own source
+   address, so any number of them are pairwise distinct. *)
+let exact_rule i =
+  let key =
+    Sdn_net.Flow_key.make ~proto:17
+      ~src_ip:(Sdn_net.Ip.of_int32 (Int32.of_int (0x0A010000 + i)))
+      ~dst_ip:ip2 ~src_port:(1000 + (i mod 16384)) ~dst_port:9
+  in
+  Sdn_switch.Flow_entry.of_flow_mod
+    (Sdn_openflow.Of_flow_mod.add
+       ~match_:(Sdn_openflow.Of_match.of_flow_key key)
+       ~actions:[ Sdn_openflow.Of_action.output 2 ]
+       ())
+    ~now:0.0
+
 let populated_table ?(wildcards = 0) n =
   let table = Sdn_switch.Flow_table.create ~capacity:(2 * (n + wildcards)) () in
   for i = 0 to n - 1 do
-    let key =
-      Sdn_net.Flow_key.make ~proto:17
-        ~src_ip:(Sdn_net.Ip.of_int32 (Int32.of_int (0x0A010000 + i)))
-        ~dst_ip:ip2 ~src_port:(1000 + (i mod 16384)) ~dst_port:9
-    in
-    let fm =
-      Sdn_openflow.Of_flow_mod.add
-        ~match_:(Sdn_openflow.Of_match.of_flow_key key)
-        ~actions:[ Sdn_openflow.Of_action.output 2 ]
-        ()
-    in
-    ignore
-      (Sdn_switch.Flow_table.insert table
-         (Sdn_switch.Flow_entry.of_flow_mod fm ~now:0.0))
+    ignore (Sdn_switch.Flow_table.insert table (exact_rule i))
   done;
   for i = 0 to wildcards - 1 do
     (* Distinct ingress ports no benchmark packet arrives on: scanned
@@ -633,6 +636,35 @@ let queue_metrics () =
       ])
     sizes
 
+(* ---- Flow-table install scaling: ns per insert while filling an empty
+   table with 4000 distinct exact rules, over the same at 1000, both
+   timed in this process so the host cancels out of the ratio.  Linear
+   install cost keeps it near 1; a whole-table scan per insert makes it
+   about 4.  Lower is better (the name has no "speedup"). *)
+let insert_scaling_metrics () =
+  let ns_per_insert n =
+    let rules = Array.init n exact_rule in
+    let fill () =
+      let table = Sdn_switch.Flow_table.create ~capacity:n () in
+      Array.iter (fun r -> ignore (Sdn_switch.Flow_table.insert table r)) rules
+    in
+    fill ();
+    let best = ref Float.infinity in
+    for _ = 1 to 10 do
+      (* Start each fill from a collected heap: otherwise major-GC
+         slices owed by earlier allocation land inside the timing. *)
+      Gc.full_major ();
+      let t0 = Monotonic_clock.get () in
+      fill ();
+      let dt = Monotonic_clock.get () -. t0 in
+      if Float.compare dt !best < 0 then best := dt
+    done;
+    !best /. float_of_int n
+  in
+  let small = ns_per_insert 1000 in
+  let large = ns_per_insert 4000 in
+  [ ("derived/flow_table_insert_scaling_4x", large /. small) ]
+
 (* ---- The massive scenario, scaled down to bench size: the sharded
    full pipeline.  The ns rate is informational (host-dependent); the
    event count is deterministic. *)
@@ -694,10 +726,12 @@ let run_json path =
   let sweep_absolute, sweep_speedups = sweep_metrics () in
   let queue = queue_metrics () in
   let massive = massive_metrics () in
+  let insert_scaling = insert_scaling_metrics () in
   let metrics =
     List.map (fun (n, v) -> (n ^ "/ns", v)) ns
     @ List.map (fun (n, v) -> (n ^ "/minor-words", v)) words
     @ sweep_absolute @ derived @ sweep_speedups @ queue @ massive
+    @ insert_scaling
   in
   let oc = open_out path in
   Fun.protect
@@ -714,7 +748,7 @@ let run_json path =
       Printf.fprintf oc "  }\n}\n");
   List.iter
     (fun (name, v) -> Printf.printf "%-60s %14.3f\n" name v)
-    (derived @ sweep_speedups @ queue @ massive);
+    (derived @ sweep_speedups @ queue @ massive @ insert_scaling);
   Printf.printf "wrote %d metrics to %s\n" (List.length metrics) path
 
 (* ---- Figure harness ---- *)

@@ -6,22 +6,22 @@ module Session = Sdn_switch.Session
 type release_strategy = [ `Pair | `Flow_mod_release ]
 
 type counters = {
-  pkt_ins_received : int;
-  flow_mods_sent : int;
-  pkt_outs_sent : int;
-  drops_decided : int;
-  errors_received : int;
-  errors_sent : int;
-  echo_requests : int;
-  flow_removed_received : int;
-  port_changes : int;
-  decode_failures : int;
-  switch_downs : int;
-  resyncs : int;
-  crashes : int;
-  crash_lost_messages : int;
-  reconcile_audits : int;
-  reconcile_installs : int;
+  mutable pkt_ins_received : int;
+  mutable flow_mods_sent : int;
+  mutable pkt_outs_sent : int;
+  mutable drops_decided : int;
+  mutable errors_received : int;
+  mutable errors_sent : int;
+  mutable echo_requests : int;
+  mutable flow_removed_received : int;
+  mutable port_changes : int;
+  mutable decode_failures : int;
+  mutable switch_downs : int;
+  mutable resyncs : int;
+  mutable crashes : int;
+  mutable crash_lost_messages : int;
+  mutable reconcile_audits : int;
+  mutable reconcile_installs : int;
 }
 
 (* Per-switch session state: the liveness tracker plus the handshake
@@ -60,24 +60,10 @@ type t = {
   recent : (float * int) Queue.t;
   mutable recent_bytes : int;
   mutable last_gc_pause : float;
-  mutable pkt_ins_received : int;
-  mutable flow_mods_sent : int;
-  mutable pkt_outs_sent : int;
-  mutable drops_decided : int;
-  mutable errors_received : int;
-  mutable errors_sent : int;
-  mutable echo_requests : int;
-  mutable flow_removed_received : int;
-  mutable port_changes : int;
-  mutable decode_failures : int;
-  mutable resyncs : int;
+  c : counters;  (* live; [counters] hands out copies *)
   (* Crash–restart fault injection: while [dead] the process neither
      receives nor emits; messages arriving meanwhile are lost. *)
   mutable dead : bool;
-  mutable crashes : int;
-  mutable crash_lost_messages : int;
-  mutable reconcile_audits : int;
-  mutable reconcile_installs : int;
   (* Reconciliation outcomes, newest first, for timeline rendering. *)
   mutable reconcile_events_rev : (float * string) list;
 }
@@ -103,22 +89,26 @@ let create engine ~app ~costs ~rng ?check ?(release_strategy = `Pair)
     recent = Queue.create ();
     recent_bytes = 0;
     last_gc_pause = neg_infinity;
-    pkt_ins_received = 0;
-    flow_mods_sent = 0;
-    pkt_outs_sent = 0;
-    drops_decided = 0;
-    errors_received = 0;
-    errors_sent = 0;
-    echo_requests = 0;
-    flow_removed_received = 0;
-    port_changes = 0;
-    decode_failures = 0;
-    resyncs = 0;
+    c =
+      {
+        pkt_ins_received = 0;
+        flow_mods_sent = 0;
+        pkt_outs_sent = 0;
+        drops_decided = 0;
+        errors_received = 0;
+        errors_sent = 0;
+        echo_requests = 0;
+        flow_removed_received = 0;
+        port_changes = 0;
+        decode_failures = 0;
+        switch_downs = 0;  (* summed over sessions by [counters] *)
+        resyncs = 0;
+        crashes = 0;
+        crash_lost_messages = 0;
+        reconcile_audits = 0;
+        reconcile_installs = 0;
+      };
     dead = false;
-    crashes = 0;
-    crash_lost_messages = 0;
-    reconcile_audits = 0;
-    reconcile_installs = 0;
     reconcile_events_rev = [];
   }
 
@@ -211,9 +201,9 @@ let send ?(fresh = false) t ~switch ~xid msg =
       Link.send link ~size:(Bytes.length encoded) encoded;
       (match msg with
       | Of_codec.Flow_mod fm ->
-          t.flow_mods_sent <- t.flow_mods_sent + 1;
+          t.c.flow_mods_sent <- t.c.flow_mods_sent + 1;
           note_flow_mod_view t ~switch fm
-      | Of_codec.Packet_out _ -> t.pkt_outs_sent <- t.pkt_outs_sent + 1
+      | Of_codec.Packet_out _ -> t.c.pkt_outs_sent <- t.c.pkt_outs_sent + 1
       | Of_codec.Hello | Of_codec.Error_msg _ | Of_codec.Echo_request _
       | Of_codec.Echo_reply _ | Of_codec.Vendor _ | Of_codec.Features_request
       | Of_codec.Features_reply _ | Of_codec.Get_config_request
@@ -225,7 +215,7 @@ let send ?(fresh = false) t ~switch ~xid msg =
   | None -> ()
 
 let send_error t ~switch ~xid ~error_type ~code ~offending =
-  t.errors_sent <- t.errors_sent + 1;
+  t.c.errors_sent <- t.c.errors_sent + 1;
   let data = Bytes.sub offending 0 (min 64 (Bytes.length offending)) in
   let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.encode_base_cost in
   Cpu.submit t.cpu ~work_s:work (fun () ->
@@ -256,7 +246,7 @@ let max_reconcile_rounds = 8
 let reconcile_recheck_delay = 5e-3
 
 let send_audit t ~switch =
-  t.reconcile_audits <- t.reconcile_audits + 1;
+  t.c.reconcile_audits <- t.c.reconcile_audits + 1;
   send ~fresh:true t ~switch ~xid:(fresh_xid t)
     (Of_codec.Stats_request
        (Of_stats.Flow_request
@@ -275,7 +265,7 @@ let resync t ~switch =
   match Hashtbl.find_opt t.sessions switch with
   | None -> ()
   | Some s ->
-      t.resyncs <- t.resyncs + 1;
+      t.c.resyncs <- t.c.resyncs + 1;
       do_handshake t ~switch ?enable_flow_buffer:s.enable_flow_buffer
         ?miss_send_len:s.miss_send_len ();
       if s.needs_reconcile then begin
@@ -368,7 +358,7 @@ let respond t ~switch ~xid ~(pkt_in : Of_packet_in.t) (ctx : App.context)
   in
   match decision with
   | App.Drop ->
-      t.drops_decided <- t.drops_decided + 1;
+      t.c.drops_decided <- t.c.drops_decided + 1;
       if buffered then
         (* Release the buffer with no output action: the switch frees
            the unit and discards the packet. *)
@@ -432,10 +422,10 @@ let note_arrival t ~bytes =
   Costs.gc_factor t.costs ~window_bytes:t.recent_bytes
 
 let handle_packet_in t ~switch ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
-  t.pkt_ins_received <- t.pkt_ins_received + 1;
+  t.c.pkt_ins_received <- t.c.pkt_ins_received + 1;
   let gc = note_arrival t ~bytes:msg_bytes in
   match Packet.peek_headers pkt_in.Of_packet_in.data with
-  | Error _ -> t.decode_failures <- t.decode_failures + 1
+  | Error _ -> t.c.decode_failures <- t.c.decode_failures + 1
   | Ok headers ->
       let ctx =
         {
@@ -528,7 +518,7 @@ let reconcile_step t ~switch s stats =
       s.reconcile_rounds <- s.reconcile_rounds + 1;
       List.iter
         (fun (_, fm) ->
-          t.reconcile_installs <- t.reconcile_installs + 1;
+          t.c.reconcile_installs <- t.c.reconcile_installs + 1;
           send ~fresh:true t ~switch ~xid:(fresh_xid t) (Of_codec.Flow_mod fm))
         missing;
       (* Let the switch's flow_mod apply latency land, then audit
@@ -553,11 +543,11 @@ let handle_flow_stats t ~switch stats =
 let handle_message_from t ~switch buf =
   if t.dead then
     (* The process is down: the frame is lost on the floor. *)
-    t.crash_lost_messages <- t.crash_lost_messages + 1
+    t.c.crash_lost_messages <- t.c.crash_lost_messages + 1
   else
   match Of_codec.decode buf with
   | Error _ ->
-      t.decode_failures <- t.decode_failures + 1;
+      t.c.decode_failures <- t.c.decode_failures + 1;
       (* A buggy switch must learn its frame was rejected: answer with
          the OFPT_ERROR matching what was wrong with it. *)
       let error_type, code =
@@ -579,14 +569,14 @@ let handle_message_from t ~switch buf =
       match msg with
       | Of_codec.Packet_in pkt_in ->
           handle_packet_in t ~switch ~xid pkt_in ~msg_bytes:(Bytes.length buf)
-      | Of_codec.Error_msg _ -> t.errors_received <- t.errors_received + 1
+      | Of_codec.Error_msg _ -> t.c.errors_received <- t.c.errors_received + 1
       | Of_codec.Echo_request payload ->
-          t.echo_requests <- t.echo_requests + 1;
+          t.c.echo_requests <- t.c.echo_requests + 1;
           let work = t.costs.Costs.parse_base_cost +. t.costs.Costs.encode_base_cost in
           Cpu.submit t.cpu ~work_s:work (fun () ->
               send t ~switch ~xid (Of_codec.Echo_reply payload))
       | Of_codec.Flow_removed fr ->
-          t.flow_removed_received <- t.flow_removed_received + 1;
+          t.c.flow_removed_received <- t.c.flow_removed_received + 1;
           (* The entry timed out at the switch; forget it so the
              reconciliation pass does not resurrect it. *)
           (match Hashtbl.find_opt t.sessions switch with
@@ -595,7 +585,7 @@ let handle_message_from t ~switch buf =
                 (view_key fr.Of_flow_removed.match_ fr.Of_flow_removed.priority)
           | None -> ())
       | Of_codec.Port_status ps ->
-          t.port_changes <- t.port_changes + 1;
+          t.c.port_changes <- t.c.port_changes + 1;
           (* A failed link strands every rule forwarding into it; flush
              them so affected flows fall back to the reactive path. *)
           if ps.Of_port_status.link_down then begin
@@ -622,7 +612,7 @@ let handle_message_from t ~switch buf =
       | Of_codec.Stats_request _ | Of_codec.Barrier_request ->
           (* Switch-bound messages should not arrive at the controller;
              reject them explicitly. *)
-          t.decode_failures <- t.decode_failures + 1;
+          t.c.decode_failures <- t.c.decode_failures + 1;
           send_error t ~switch ~xid ~error_type:Of_error.Bad_request
             ~code:Of_error.Bad_request_code.bad_type ~offending:buf)
 
@@ -676,7 +666,7 @@ let sorted_sessions t =
 let crash t ~mode =
   if not t.dead then begin
     t.dead <- true;
-    t.crashes <- t.crashes + 1;
+    t.c.crashes <- t.c.crashes + 1;
     List.iter
       (fun (_, s) ->
         s.reconciling <- false;
@@ -722,22 +712,4 @@ let note_switch_disconnect t ~switch =
 let is_dead t = t.dead
 let reconcile_events t = List.rev t.reconcile_events_rev
 
-let counters t =
-  {
-    pkt_ins_received = t.pkt_ins_received;
-    flow_mods_sent = t.flow_mods_sent;
-    pkt_outs_sent = t.pkt_outs_sent;
-    drops_decided = t.drops_decided;
-    errors_received = t.errors_received;
-    errors_sent = t.errors_sent;
-    echo_requests = t.echo_requests;
-    flow_removed_received = t.flow_removed_received;
-    port_changes = t.port_changes;
-    decode_failures = t.decode_failures;
-    switch_downs = switch_downs t;
-    resyncs = t.resyncs;
-    crashes = t.crashes;
-    crash_lost_messages = t.crash_lost_messages;
-    reconcile_audits = t.reconcile_audits;
-    reconcile_installs = t.reconcile_installs;
-  }
+let counters t = { t.c with switch_downs = switch_downs t }

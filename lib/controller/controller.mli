@@ -16,28 +16,28 @@ open Sdn_sim
 
 type release_strategy = [ `Pair | `Flow_mod_release ]
 
-type counters = {
-  pkt_ins_received : int;
-  flow_mods_sent : int;
-  pkt_outs_sent : int;
-  drops_decided : int;
-  errors_received : int;
-  errors_sent : int;
+type counters = private {
+  mutable pkt_ins_received : int;
+  mutable flow_mods_sent : int;
+  mutable pkt_outs_sent : int;
+  mutable drops_decided : int;
+  mutable errors_received : int;
+  mutable errors_sent : int;
       (** OFPT_ERROR replies to malformed or misdirected frames *)
-  echo_requests : int;
-  flow_removed_received : int;
-  port_changes : int;
-  decode_failures : int;
-  switch_downs : int;
+  mutable echo_requests : int;
+  mutable flow_removed_received : int;
+  mutable port_changes : int;
+  mutable decode_failures : int;
+  mutable switch_downs : int;
       (** switch sessions declared Down by the echo keepalive *)
-  resyncs : int;
+  mutable resyncs : int;
       (** handshake replays pushed after a session recovered *)
-  crashes : int;  (** injected controller crashes *)
-  crash_lost_messages : int;
+  mutable crashes : int;  (** injected controller crashes *)
+  mutable crash_lost_messages : int;
       (** switch messages that arrived while the process was dead *)
-  reconcile_audits : int;
+  mutable reconcile_audits : int;
       (** wildcard FLOW stats requests sent by the reconciliation pass *)
-  reconcile_installs : int;
+  mutable reconcile_installs : int;
       (** entries re-installed because a post-crash audit found them
           missing from the switch *)
 }
@@ -158,4 +158,6 @@ val reconcile_events : t -> (float * string) list
 
 val cpu : t -> Cpu.t
 val counters : t -> counters
+(** A snapshot: later traffic does not change the returned record. *)
+
 val app_name : t -> string

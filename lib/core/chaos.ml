@@ -60,11 +60,6 @@ let run ?(mechanisms = default_mechanisms) ?(loss_rates = default_loss_rates)
     (fun i (loss_rate, config) -> { config; loss_rate; result = results.(i) })
     specs
 
-let mechanism_name = function
-  | Config.No_buffer -> "no-buffer"
-  | Config.Packet_granularity -> "packet-granularity"
-  | Config.Flow_granularity -> "flow-granularity"
-
 let completion_ratio (r : Experiment.result) =
   if r.Experiment.flows_started = 0 then 1.0
   else
@@ -74,7 +69,7 @@ let completion_ratio (r : Experiment.result) =
 let row p =
   let r = p.result in
   [
-    mechanism_name p.config.Config.mechanism;
+    Sdn_switch.Switch.mechanism_to_string p.config.Config.mechanism;
     Printf.sprintf "%.0f%%" (p.loss_rate *. 100.0);
     Printf.sprintf "%d/%d" r.Experiment.flows_completed
       r.Experiment.flows_started;
@@ -209,10 +204,6 @@ let run_outage ?(mechanisms = default_mechanisms)
       { config; fail_mode; duration; result = results.(i) })
     specs
 
-let fail_mode_name = function
-  | Config.Fail_secure -> "fail-secure"
-  | Config.Fail_standalone -> "fail-standalone"
-
 (* Time from the outage opening to the switch declaring Down; "-" when
    the keepalive never noticed (outage shorter than the miss budget). *)
 let detect_latency p =
@@ -227,8 +218,8 @@ let detect_latency p =
 let outage_row p =
   let r = p.result in
   [
-    mechanism_name p.config.Config.mechanism;
-    fail_mode_name p.fail_mode;
+    Sdn_switch.Switch.mechanism_to_string p.config.Config.mechanism;
+    Sdn_switch.Session.fail_mode_to_string p.fail_mode;
     Printf.sprintf "%.0fms" (p.duration *. 1e3);
     string_of_int r.Experiment.outage_detections;
     (match detect_latency p with
@@ -277,8 +268,9 @@ let outage_report points =
     (fun p ->
       Buffer.add_string buf
         (Printf.sprintf "%-18s %-15s %5.0fms  %s\n"
-           (mechanism_name p.config.Config.mechanism)
-           (fail_mode_name p.fail_mode) (p.duration *. 1e3)
+           (Sdn_switch.Switch.mechanism_to_string p.config.Config.mechanism)
+           (Sdn_switch.Session.fail_mode_to_string p.fail_mode)
+           (p.duration *. 1e3)
            (Report.timeline p.result.Experiment.session_transitions)))
     points;
   Buffer.contents buf
@@ -369,7 +361,7 @@ let run_crash ?(mechanisms = default_mechanisms)
 let crash_row p =
   let r = p.result in
   [
-    mechanism_name p.config.Config.mechanism;
+    Sdn_switch.Switch.mechanism_to_string p.config.Config.mechanism;
     Faults.crash_node_to_string p.node;
     Faults.restart_mode_to_string p.mode;
     Printf.sprintf "%.0fms" (p.down *. 1e3);
@@ -417,7 +409,7 @@ let crash_report points =
     (fun p ->
       Buffer.add_string buf
         (Printf.sprintf "%-18s %-10s %-4s %5.0fms  %s\n"
-           (mechanism_name p.config.Config.mechanism)
+           (Sdn_switch.Switch.mechanism_to_string p.config.Config.mechanism)
            (Faults.crash_node_to_string p.node)
            (Faults.restart_mode_to_string p.mode)
            (p.down *. 1e3)

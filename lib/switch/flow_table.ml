@@ -101,21 +101,27 @@ let add_entry t entry =
   | None -> t.wildcard_uids <- uid :: t.wildcard_uids);
   uid
 
+(* An identical (priority, match) entry has the same [index_key], so it
+   can only sit in that exact-match bucket, or among the wildcard rules
+   when there is no key. [insert] replaces identical entries, so at most
+   one can exist. *)
 let find_identical t (entry : Flow_entry.t) =
-  (* At most one entry can share (priority, match) — [insert] replaces
-     identical entries — so this fold finds at most one match no matter
-     the iteration order. lint: allow hashtbl-order *)
-  Hashtbl.fold
-    (fun uid (e : Flow_entry.t) acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if
-            e.Flow_entry.priority = entry.Flow_entry.priority
-            && Of_match.equal e.Flow_entry.match_ entry.Flow_entry.match_
-          then Some uid
-          else None)
-    t.by_uid None
+  let uids =
+    match index_key entry.Flow_entry.match_ with
+    | None -> t.wildcard_uids
+    | Some key -> (
+        match Flow_key.Table.find_opt t.exact key with
+        | Some uids -> !uids
+        | None -> [])
+  in
+  List.find_opt
+    (fun uid ->
+      match Hashtbl.find_opt t.by_uid uid with
+      | None -> false
+      | Some (e : Flow_entry.t) ->
+          e.Flow_entry.priority = entry.Flow_entry.priority
+          && Of_match.equal e.Flow_entry.match_ entry.Flow_entry.match_)
+    uids
 
 let eviction_victim t =
   (* Least-recently-used among the minimal-priority entries; uid breaks

@@ -66,28 +66,28 @@ let default_config =
   }
 
 type counters = {
-  frames_received : int;
-  frames_forwarded : int;
-  frames_dropped : int;
-  table_misses : int;
-  pkt_ins_sent : int;
-  pkt_in_resends : int;
-  full_packet_fallbacks : int;
-  pkt_outs_handled : int;
-  flow_mods_handled : int;
-  errors_sent : int;
-  errors_received : int;
-  decode_failures : int;
-  decode_truncated : int;
-  decode_bad_version : int;
-  decode_bad_type : int;
-  standalone_frames : int;
-  fail_secure_drops : int;
-  crashes : int;
-  crash_lost_frames : int;
-  crash_lost_messages : int;
-  crash_wiped_packets : int;
-  overload_sheds : int;
+  mutable frames_received : int;
+  mutable frames_forwarded : int;
+  mutable frames_dropped : int;
+  mutable table_misses : int;
+  mutable pkt_ins_sent : int;
+  mutable pkt_in_resends : int;
+  mutable full_packet_fallbacks : int;
+  mutable pkt_outs_handled : int;
+  mutable flow_mods_handled : int;
+  mutable errors_sent : int;
+  mutable errors_received : int;
+  mutable decode_failures : int;
+  mutable decode_truncated : int;
+  mutable decode_bad_version : int;
+  mutable decode_bad_type : int;
+  mutable standalone_frames : int;
+  mutable fail_secure_drops : int;
+  mutable crashes : int;
+  mutable crash_lost_frames : int;
+  mutable crash_lost_messages : int;
+  mutable crash_wiped_packets : int;
+  mutable overload_sheds : int;
 }
 
 type t = {
@@ -117,32 +117,10 @@ type t = {
   (* MAC -> port map learned only while fail-standalone forwarding is
      active; reset at each outage so stale locations don't survive. *)
   standalone_table : (Mac.t, int) Hashtbl.t;
-  (* mutable counter fields *)
-  mutable frames_received : int;
-  mutable frames_forwarded : int;
-  mutable frames_dropped : int;
-  mutable table_misses : int;
-  mutable pkt_ins_sent : int;
-  mutable pkt_in_resends : int;
-  mutable full_packet_fallbacks : int;
-  mutable pkt_outs_handled : int;
-  mutable flow_mods_handled : int;
-  mutable errors_sent : int;
-  mutable errors_received : int;
-  mutable decode_failures : int;
-  mutable decode_truncated : int;
-  mutable decode_bad_version : int;
-  mutable decode_bad_type : int;
-  mutable standalone_frames : int;
-  mutable fail_secure_drops : int;
+  c : counters;  (* live; [counters] hands out copies *)
   (* Crash–restart fault injection: while [dead] the datapath neither
      forwards nor speaks OpenFlow; everything arriving is lost. *)
   mutable dead : bool;
-  mutable crashes : int;
-  mutable crash_lost_frames : int;
-  mutable crash_lost_messages : int;
-  mutable crash_wiped_packets : int;
-  mutable overload_sheds : int;
 }
 
 let the_session t =
@@ -228,7 +206,7 @@ let rec ensure_flow_pool t =
           ~resend_jitter:t.config.resend_jitter ~rng:t.resend_rng
           ~max_resends:t.config.max_resends
           ~on_resend:(fun ~buffer_id ~key:_ ~first_frame ->
-            t.pkt_in_resends <- t.pkt_in_resends + 1;
+            t.c.pkt_in_resends <- t.c.pkt_in_resends + 1;
             note_pkt_in t ~pool:(flow_pool_name t) ~id:buffer_id ~resend:true;
             (* The repeated request retraces the miss path: bus, then
                userspace, then the control link (Algorithm 1 line 13). *)
@@ -297,27 +275,27 @@ and send_pkt_in t ~buffer_id ~frame ~in_port ~truncate ~extra_cost =
               ~reason:Of_packet_in.No_match ~frame
               ~miss_send_len:truncate
           in
-          t.pkt_ins_sent <- t.pkt_ins_sent + 1;
+          t.c.pkt_ins_sent <- t.c.pkt_ins_sent + 1;
           send_to_controller t (Of_codec.Packet_in pkt_in)))
 
 let forward_frame t ~port ~queue_id frame =
   if t.dead then begin
-    t.frames_dropped <- t.frames_dropped + 1;
-    t.crash_lost_frames <- t.crash_lost_frames + 1
+    t.c.frames_dropped <- t.c.frames_dropped + 1;
+    t.c.crash_lost_frames <- t.c.crash_lost_frames + 1
   end
   else if Hashtbl.mem t.down_ports port then
-    t.frames_dropped <- t.frames_dropped + 1
+    t.c.frames_dropped <- t.c.frames_dropped + 1
   else
   match Hashtbl.find_opt t.port_schedulers port with
   | Some scheduler ->
-      t.frames_forwarded <- t.frames_forwarded + 1;
+      t.c.frames_forwarded <- t.c.frames_forwarded + 1;
       Egress_queue.send scheduler ~queue_id frame
   | None -> (
       match Hashtbl.find_opt t.ports port with
       | Some link ->
-          t.frames_forwarded <- t.frames_forwarded + 1;
+          t.c.frames_forwarded <- t.c.frames_forwarded + 1;
           Link.send link ~size:(Bytes.length frame) frame
-      | None -> t.frames_dropped <- t.frames_dropped + 1)
+      | None -> t.c.frames_dropped <- t.c.frames_dropped + 1)
 
 let resolve_outputs t ~in_port outputs =
   let all_but_ingress queue_id =
@@ -342,28 +320,32 @@ let resolve_outputs t ~in_port outputs =
       else [ o ])
     outputs
 
-(* Egress of a data-plane frame: one kernel forwarding job, then the
-   port link. *)
+(* Resolve [outputs] against the ports, then either drop the frame (no
+   port left) or run one kernel forwarding job that sends it to every
+   output. *)
+let forward_to_outputs t ~in_port outputs frame =
+  match resolve_outputs t ~in_port outputs with
+  | [] -> t.c.frames_dropped <- t.c.frames_dropped + 1
+  | outputs ->
+      Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_fwd_cost (fun () ->
+          List.iter
+            (fun (o : Of_action.output_spec) ->
+              forward_frame t ~port:o.Of_action.out_port
+                ~queue_id:o.Of_action.queue_id frame)
+            outputs)
+
 let egress t ~in_port ~actions pkt frame =
   let rewritten, outputs = Of_action.apply_full actions pkt in
   let frame =
     (* Re-encode only if an action rewrote a header. *)
     if rewritten == pkt then frame else Packet.encode rewritten
   in
-  let outputs = resolve_outputs t ~in_port outputs in
-  if outputs = [] then t.frames_dropped <- t.frames_dropped + 1
-  else
-    Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_fwd_cost (fun () ->
-        List.iter
-          (fun (o : Of_action.output_spec) ->
-            forward_frame t ~port:o.Of_action.out_port
-              ~queue_id:o.Of_action.queue_id frame)
-          outputs)
+  forward_to_outputs t ~in_port outputs frame
 
 (* ---- Miss handling, per mechanism ---- *)
 
 let miss_no_buffer t ~in_port frame =
-  t.full_packet_fallbacks <- t.full_packet_fallbacks + 1;
+  t.c.full_packet_fallbacks <- t.c.full_packet_fallbacks + 1;
   send_pkt_in t ~buffer_id:Of_wire.no_buffer ~frame ~in_port ~truncate:None
     ~extra_cost:0.0
 
@@ -378,8 +360,8 @@ let overload_guard_active t ~in_use ~capacity =
      >= t.config.overload_watermark *. float_of_int capacity
 
 let shed_overload t =
-  t.overload_sheds <- t.overload_sheds + 1;
-  t.frames_dropped <- t.frames_dropped + 1
+  t.c.overload_sheds <- t.c.overload_sheds + 1;
+  t.c.frames_dropped <- t.c.frames_dropped + 1
 
 let miss_packet_granularity t ~in_port frame =
   let pool = ensure_pkt_pool t in
@@ -433,7 +415,7 @@ let miss_flow_granularity t ~in_port pkt frame =
    location, forward to the learned destination port or flood. Installed
    rules keep matching in the fast path; only misses come through here. *)
 let miss_standalone t ~in_port pkt frame =
-  t.standalone_frames <- t.standalone_frames + 1;
+  t.c.standalone_frames <- t.c.standalone_frames + 1;
   let eth = pkt.Packet.eth in
   Hashtbl.replace t.standalone_table eth.Ethernet.src in_port;
   let outputs =
@@ -447,15 +429,7 @@ let miss_standalone t ~in_port pkt frame =
       | None -> [ { Of_action.out_port = Of_wire.Port.flood; queue_id = None } ]
     end
   in
-  let outputs = resolve_outputs t ~in_port outputs in
-  if outputs = [] then t.frames_dropped <- t.frames_dropped + 1
-  else
-    Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_fwd_cost (fun () ->
-        List.iter
-          (fun (o : Of_action.output_spec) ->
-            forward_frame t ~port:o.Of_action.out_port
-              ~queue_id:o.Of_action.queue_id frame)
-          outputs)
+  forward_to_outputs t ~in_port outputs frame
 
 (* Fail-secure (OpenFlow 1.0 §6.4): never forward without controller
    authorization. Flow-granularity chains keep absorbing miss-match
@@ -463,8 +437,8 @@ let miss_standalone t ~in_port pkt frame =
    everything else is dropped until the session recovers. *)
 let miss_fail_secure t ~in_port:_ pkt frame =
   let drop () =
-    t.fail_secure_drops <- t.fail_secure_drops + 1;
-    t.frames_dropped <- t.frames_dropped + 1
+    t.c.fail_secure_drops <- t.c.fail_secure_drops + 1;
+    t.c.frames_dropped <- t.c.frames_dropped + 1
   in
   match t.mechanism with
   | Flow_granularity -> (
@@ -479,7 +453,7 @@ let miss_fail_secure t ~in_port:_ pkt frame =
   | Packet_granularity | No_buffer -> drop ()
 
 let handle_miss t ~in_port pkt frame =
-  t.table_misses <- t.table_misses + 1;
+  t.c.table_misses <- t.c.table_misses + 1;
   if Session.is_down (the_session t) then
     (* Controller unreachable: degrade per the configured fail mode
        instead of emitting PACKET_INs into a dead channel. *)
@@ -497,19 +471,19 @@ let handle_miss t ~in_port pkt frame =
         | Flow_granularity -> miss_flow_granularity t ~in_port pkt frame)
 
 let handle_frame t ~in_port frame =
-  t.frames_received <- t.frames_received + 1;
+  t.c.frames_received <- t.c.frames_received + 1;
   if t.dead then begin
     (* A crashed datapath is a black hole: the frame is counted in and
        immediately lost, with no CPU work burned. *)
-    t.frames_dropped <- t.frames_dropped + 1;
-    t.crash_lost_frames <- t.crash_lost_frames + 1
+    t.c.frames_dropped <- t.c.frames_dropped + 1;
+    t.c.crash_lost_frames <- t.c.crash_lost_frames + 1
   end
   else
   Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_rx_cost (fun () ->
       match Packet.decode frame with
       | Error _ ->
-          t.decode_failures <- t.decode_failures + 1;
-          t.frames_dropped <- t.frames_dropped + 1
+          t.c.decode_failures <- t.c.decode_failures + 1;
+          t.c.frames_dropped <- t.c.frames_dropped + 1
       | Ok pkt -> (
           match Flow_table.lookup t.table ~in_port pkt with
           | Some entry ->
@@ -521,22 +495,14 @@ let handle_frame t ~in_port frame =
 (* ---- Controller-to-switch message handling ---- *)
 
 let send_error ?xid t ~error_type ~code ~offending =
-  t.errors_sent <- t.errors_sent + 1;
+  t.c.errors_sent <- t.c.errors_sent + 1;
   let data = Bytes.sub offending 0 (min 64 (Bytes.length offending)) in
   send_to_controller ?xid t
     (Of_codec.Error_msg (Of_error.make ~error_type ~code ~data ()))
 
-(* Release one buffered frame to the datapath: descriptor-sized bus
-   crossing, buffer bookkeeping, then kernel forwarding. *)
-let release_buffered t ~actions frame =
-  bus_transfer t ~bytes:0 (fun () ->
-      Cpu.submit t.kernel ~work_s:t.costs.Costs.release_per_packet_cost
-        (fun () ->
-          match Packet.decode frame with
-          | Error _ -> t.decode_failures <- t.decode_failures + 1
-          | Ok pkt -> egress t ~in_port:0 ~actions pkt frame))
-
-(* Release a whole flow-granularity chain (Algorithm 2 lines 4-10). *)
+(* Release buffered frames to the datapath (Algorithm 2 lines 4-10):
+   one descriptor-sized bus crossing, then one kernel job per frame, in
+   chain order. A packet-granularity release is a chain of one. *)
 let release_chain t ~actions frames =
   bus_transfer t ~bytes:0 (fun () ->
       let rec forward_next = function
@@ -545,7 +511,7 @@ let release_chain t ~actions frames =
             Cpu.submit t.kernel
               ~work_s:t.costs.Costs.release_per_packet_cost (fun () ->
                 (match Packet.decode frame with
-                | Error _ -> t.decode_failures <- t.decode_failures + 1
+                | Error _ -> t.c.decode_failures <- t.c.decode_failures + 1
                 | Ok pkt -> egress t ~in_port:0 ~actions pkt frame);
                 forward_next rest)
       in
@@ -554,33 +520,33 @@ let release_chain t ~actions frames =
 let apply_buffer_release t ~buffer_id ~actions ~offending =
   if Int32.equal buffer_id Of_wire.no_buffer then ()
   else begin
-    match t.mechanism with
-    | Packet_granularity | No_buffer -> (
-        match t.pkt_pool with
-        | None ->
-            send_error t ~error_type:Of_error.Bad_request
-              ~code:Of_error.Bad_request_code.buffer_empty ~offending
-        | Some pool -> (
-            match Packet_buffer.take pool buffer_id with
-            | Packet_buffer.Taken frame -> release_buffered t ~actions frame
-            | Packet_buffer.Unknown_id ->
-                send_error t ~error_type:Of_error.Bad_request
-                  ~code:Of_error.Bad_request_code.buffer_unknown ~offending))
-    | Flow_granularity -> (
-        match t.flow_pool with
-        | None ->
-            send_error t ~error_type:Of_error.Bad_request
-              ~code:Of_error.Bad_request_code.buffer_empty ~offending
-        | Some pool -> (
-            match Flow_buffer.take_all pool buffer_id with
-            | Flow_buffer.Taken frames -> release_chain t ~actions frames
-            | Flow_buffer.Unknown_id ->
-                send_error t ~error_type:Of_error.Bad_request
-                  ~code:Of_error.Bad_request_code.buffer_unknown ~offending))
+    let released =
+      match t.mechanism with
+      | Packet_granularity | No_buffer -> (
+          match t.pkt_pool with
+          | None -> Error Of_error.Bad_request_code.buffer_empty
+          | Some pool -> (
+              match Packet_buffer.take pool buffer_id with
+              | Packet_buffer.Taken frame -> Ok [ frame ]
+              | Packet_buffer.Unknown_id ->
+                  Error Of_error.Bad_request_code.buffer_unknown))
+      | Flow_granularity -> (
+          match t.flow_pool with
+          | None -> Error Of_error.Bad_request_code.buffer_empty
+          | Some pool -> (
+              match Flow_buffer.take_all pool buffer_id with
+              | Flow_buffer.Taken frames -> Ok frames
+              | Flow_buffer.Unknown_id ->
+                  Error Of_error.Bad_request_code.buffer_unknown))
+    in
+    match released with
+    | Ok frames -> release_chain t ~actions frames
+    | Error code ->
+        send_error t ~error_type:Of_error.Bad_request ~code ~offending
   end
 
 let handle_flow_mod t (fm : Of_flow_mod.t) ~offending =
-  t.flow_mods_handled <- t.flow_mods_handled + 1;
+  t.c.flow_mods_handled <- t.c.flow_mods_handled + 1;
   let work = t.costs.Costs.flow_mod_install_cost in
   Cpu.submit t.userspace ~work_s:work (fun () ->
       match fm.Of_flow_mod.command with
@@ -617,7 +583,7 @@ let handle_flow_mod t (fm : Of_flow_mod.t) ~offending =
                ~priority:fm.Of_flow_mod.priority ()))
 
 let handle_packet_out t (po : Of_packet_out.t) ~offending =
-  t.pkt_outs_handled <- t.pkt_outs_handled + 1;
+  t.c.pkt_outs_handled <- t.c.pkt_outs_handled + 1;
   let data_len = Bytes.length po.Of_packet_out.data in
   let work =
     t.costs.Costs.pkt_out_base_cost
@@ -633,7 +599,7 @@ let handle_packet_out t (po : Of_packet_out.t) ~offending =
           let frame = po.Of_packet_out.data in
           bus_transfer t ~bytes:data_len (fun () ->
               match Packet.decode frame with
-              | Error _ -> t.decode_failures <- t.decode_failures + 1
+              | Error _ -> t.c.decode_failures <- t.c.decode_failures + 1
               | Ok pkt ->
                   egress t ~in_port:po.Of_packet_out.in_port
                     ~actions:po.Of_packet_out.actions pkt frame)
@@ -773,11 +739,11 @@ let handle_stats_request t ~xid (req : Of_stats.request) =
 let handle_of_message t buf =
   if t.dead then
     (* The OpenFlow agent is down with the rest of the process. *)
-    t.crash_lost_messages <- t.crash_lost_messages + 1
+    t.c.crash_lost_messages <- t.c.crash_lost_messages + 1
   else
   match Of_codec.decode buf with
   | Error _ ->
-      t.decode_failures <- t.decode_failures + 1;
+      t.c.decode_failures <- t.c.decode_failures + 1;
       (* Per the 1.0 spec, the reply code depends on what exactly was
          wrong with the frame (satellite of the wire-format story):
          truncation is a length problem, an unknown type byte a type
@@ -785,13 +751,13 @@ let handle_of_message t buf =
       let error_type, code =
         match Of_codec.error_kind buf with
         | Of_codec.Truncated | Of_codec.Bad_body ->
-            t.decode_truncated <- t.decode_truncated + 1;
+            t.c.decode_truncated <- t.c.decode_truncated + 1;
             (Of_error.Bad_request, Of_error.Bad_request_code.bad_len)
         | Of_codec.Bad_version _ ->
-            t.decode_bad_version <- t.decode_bad_version + 1;
+            t.c.decode_bad_version <- t.c.decode_bad_version + 1;
             (Of_error.Hello_failed, Of_error.Hello_failed_code.incompatible)
         | Of_codec.Bad_type _ ->
-            t.decode_bad_type <- t.decode_bad_type + 1;
+            t.c.decode_bad_type <- t.c.decode_bad_type + 1;
             (Of_error.Bad_request, Of_error.Bad_request_code.bad_type)
       in
       send_error ~xid:(Of_codec.peek_xid buf) t ~error_type ~code
@@ -824,7 +790,7 @@ let handle_of_message t buf =
           (* The controller configures how much of a buffered packet
              rides in the PACKET_IN (paper, Section IV). *)
           t.miss_send_len <- max 0 (min 0xFFFF c.Of_config.miss_send_len)
-      | Of_codec.Error_msg _ -> t.errors_received <- t.errors_received + 1
+      | Of_codec.Error_msg _ -> t.c.errors_received <- t.c.errors_received + 1
       | Of_codec.Echo_reply _ | Of_codec.Features_reply _
       | Of_codec.Get_config_reply _ | Of_codec.Packet_in _
       | Of_codec.Flow_removed _ | Of_codec.Port_status _
@@ -855,7 +821,7 @@ let on_session_restore t =
 let crash t ~mode =
   if not t.dead then begin
     t.dead <- true;
-    t.crashes <- t.crashes + 1;
+    t.c.crashes <- t.c.crashes + 1;
     (* The process dies with all its timers; Session.force_down fires
        on_down from live states, which freezes a flow-granularity pool
        and resets the standalone table. *)
@@ -885,7 +851,7 @@ let crash t ~mode =
             let _chains, packets = Flow_buffer.wipe pool in
             wiped := !wiped + packets
         | None -> ());
-        t.crash_wiped_packets <- t.crash_wiped_packets + !wiped;
+        t.c.crash_wiped_packets <- t.c.crash_wiped_packets + !wiped;
         ignore (Flow_table.clear t.table);
         t.mechanism <-
           (if t.config.buffer_capacity = 0 then No_buffer
@@ -965,31 +931,34 @@ let create engine ?check ~config ~costs ~rng () =
           (Int32.shift_left
              (Int32.of_int (Int64.to_int (Int64.rem config.datapath_id 1024L)))
              20);
-      frames_received = 0;
-      frames_forwarded = 0;
-      frames_dropped = 0;
-      table_misses = 0;
-      pkt_ins_sent = 0;
-      pkt_in_resends = 0;
-      full_packet_fallbacks = 0;
-      pkt_outs_handled = 0;
-      flow_mods_handled = 0;
-      errors_sent = 0;
-      errors_received = 0;
-      decode_failures = 0;
-      decode_truncated = 0;
-      decode_bad_version = 0;
-      decode_bad_type = 0;
-      standalone_frames = 0;
-      fail_secure_drops = 0;
       dead = false;
-      crashes = 0;
-      crash_lost_frames = 0;
-      crash_lost_messages = 0;
-      crash_wiped_packets = 0;
-      overload_sheds = 0;
       session = None;
       standalone_table = Hashtbl.create 16;
+      c =
+        {
+          frames_received = 0;
+          frames_forwarded = 0;
+          frames_dropped = 0;
+          table_misses = 0;
+          pkt_ins_sent = 0;
+          pkt_in_resends = 0;
+          full_packet_fallbacks = 0;
+          pkt_outs_handled = 0;
+          flow_mods_handled = 0;
+          errors_sent = 0;
+          errors_received = 0;
+          decode_failures = 0;
+          decode_truncated = 0;
+          decode_bad_version = 0;
+          decode_bad_type = 0;
+          standalone_frames = 0;
+          fail_secure_drops = 0;
+          crashes = 0;
+          crash_lost_frames = 0;
+          crash_lost_messages = 0;
+          crash_wiped_packets = 0;
+          overload_sheds = 0;
+        };
     }
   in
   (* The reconnect probe schedule reuses the re-request backoff knobs:
@@ -1110,31 +1079,7 @@ let kernel_cpu t = t.kernel
 let userspace_cpu t = t.userspace
 let flow_table t = t.table
 
-let counters t =
-  {
-    frames_received = t.frames_received;
-    frames_forwarded = t.frames_forwarded;
-    frames_dropped = t.frames_dropped;
-    table_misses = t.table_misses;
-    pkt_ins_sent = t.pkt_ins_sent;
-    pkt_in_resends = t.pkt_in_resends;
-    full_packet_fallbacks = t.full_packet_fallbacks;
-    pkt_outs_handled = t.pkt_outs_handled;
-    flow_mods_handled = t.flow_mods_handled;
-    errors_sent = t.errors_sent;
-    errors_received = t.errors_received;
-    decode_failures = t.decode_failures;
-    decode_truncated = t.decode_truncated;
-    decode_bad_version = t.decode_bad_version;
-    decode_bad_type = t.decode_bad_type;
-    standalone_frames = t.standalone_frames;
-    fail_secure_drops = t.fail_secure_drops;
-    crashes = t.crashes;
-    crash_lost_frames = t.crash_lost_frames;
-    crash_lost_messages = t.crash_lost_messages;
-    crash_wiped_packets = t.crash_wiped_packets;
-    overload_sheds = t.overload_sheds;
-  }
+let counters t = { t.c with frames_received = t.c.frames_received }
 
 let session t = the_session t
 
@@ -1157,35 +1102,21 @@ let buffer_max_in_use t =
   | (Packet_granularity | No_buffer), Some pool, _ -> Packet_buffer.max_in_use pool
   | _, _, _ -> 0
 
-let flows_abandoned t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.abandoned_flows pool
-  | None -> 0
+(* Flow-pool statistics read [none] until the pool exists. *)
+let of_flow_pool t ~none stat =
+  match t.flow_pool with Some pool -> stat pool | None -> none
 
-let flows_recovered t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.recovered_flows pool
-  | None -> 0
+let flows_abandoned t = of_flow_pool t ~none:0 Flow_buffer.abandoned_flows
+let flows_recovered t = of_flow_pool t ~none:0 Flow_buffer.recovered_flows
 
 let recovery_delays t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.recovery_delays pool
-  | None -> Stats.create ()
+  of_flow_pool t ~none:(Stats.create ()) Flow_buffer.recovery_delays
 
-let chains_frozen t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.chains_frozen pool
-  | None -> 0
-
-let chains_resumed t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.chains_resumed pool
-  | None -> 0
+let chains_frozen t = of_flow_pool t ~none:0 Flow_buffer.chains_frozen
+let chains_resumed t = of_flow_pool t ~none:0 Flow_buffer.chains_resumed
 
 let chains_expired_on_resume t =
-  match t.flow_pool with
-  | Some pool -> Flow_buffer.expired_on_resume pool
-  | None -> 0
+  of_flow_pool t ~none:0 Flow_buffer.expired_on_resume
 
 let cpu_busy_core_seconds t =
   Cpu.busy_core_seconds t.kernel +. Cpu.busy_core_seconds t.userspace

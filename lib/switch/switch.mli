@@ -77,40 +77,40 @@ type config = {
 
 val default_config : config
 
-type counters = {
-  frames_received : int;
-  frames_forwarded : int;
-  frames_dropped : int;
-  table_misses : int;
-  pkt_ins_sent : int;
-  pkt_in_resends : int;
-  full_packet_fallbacks : int;
+type counters = private {
+  mutable frames_received : int;
+  mutable frames_forwarded : int;
+  mutable frames_dropped : int;
+  mutable table_misses : int;
+  mutable pkt_ins_sent : int;
+  mutable pkt_in_resends : int;
+  mutable full_packet_fallbacks : int;
       (** misses handled without a buffer unit (pool empty / non-flow
           packet under flow granularity / no-buffer mode) *)
-  pkt_outs_handled : int;
-  flow_mods_handled : int;
-  errors_sent : int;
-  errors_received : int;  (** OFPT_ERROR messages from the controller *)
-  decode_failures : int;
-  decode_truncated : int;
+  mutable pkt_outs_handled : int;
+  mutable flow_mods_handled : int;
+  mutable errors_sent : int;
+  mutable errors_received : int;  (** OFPT_ERROR messages from the controller *)
+  mutable decode_failures : int;
+  mutable decode_truncated : int;
       (** decode failures answered with [Bad_request]/[bad_len] *)
-  decode_bad_version : int;
+  mutable decode_bad_version : int;
       (** decode failures answered with [Hello_failed]/[incompatible] *)
-  decode_bad_type : int;
+  mutable decode_bad_type : int;
       (** decode failures answered with [Bad_request]/[bad_type] *)
-  standalone_frames : int;
+  mutable standalone_frames : int;
       (** miss-match frames carried by the fail-standalone L2 path *)
-  fail_secure_drops : int;
+  mutable fail_secure_drops : int;
       (** miss-match frames dropped (or frozen chains refused for lack
           of space) while Down in fail-secure mode *)
-  crashes : int;  (** injected node crashes *)
-  crash_lost_frames : int;
+  mutable crashes : int;  (** injected node crashes *)
+  mutable crash_lost_frames : int;
       (** data-plane frames black-holed while the process was dead *)
-  crash_lost_messages : int;
+  mutable crash_lost_messages : int;
       (** OpenFlow messages lost while the process was dead *)
-  crash_wiped_packets : int;
+  mutable crash_wiped_packets : int;
       (** buffered packets destroyed by cold-restart pool wipes *)
-  overload_sheds : int;
+  mutable overload_sheds : int;
       (** new miss chains refused by the admission guard at the
           {!config.overload_watermark} *)
 }
@@ -217,6 +217,7 @@ val kernel_cpu : t -> Cpu.t
 val userspace_cpu : t -> Cpu.t
 val flow_table : t -> Flow_table.t
 val counters : t -> counters
+(** A snapshot: later traffic does not change the returned record. *)
 
 val buffer_units_in_use : t -> int
 val buffer_mean_in_use : t -> until:float -> float

@@ -157,6 +157,52 @@ let test_calibration_sanity () =
     (fun (what, ok) -> Alcotest.(check bool) what true ok)
     (Calibration.sanity ())
 
+(* [counters] hands out copies: a snapshot taken mid-run must not move
+   when more traffic flows afterwards. *)
+let test_counter_snapshots_are_copies () =
+  let config =
+    {
+      Config.default with
+      Config.mechanism = Config.Flow_granularity;
+      workload = Config.Exp_a { n_flows = 40 };
+    }
+  in
+  let sc = Scenario.build config in
+  let injections = Experiment.injections_of config sc.Scenario.traffic_rng in
+  let plan = Sdn_traffic.Pktgen.stats_of injections in
+  Sdn_traffic.Pktgen.schedule sc.Scenario.engine
+    ~inject:(fun ~in_port frame -> Scenario.inject sc ~in_port frame)
+    injections;
+  let first = plan.Sdn_traffic.Pktgen.first
+  and last = plan.Sdn_traffic.Pktgen.last in
+  Sdn_sim.Engine.run ~until:((first +. last) /. 2.0) sc.Scenario.engine;
+  let module Sw = Sdn_switch.Switch in
+  let module Ctl = Sdn_controller.Controller in
+  let sw_fields (c : Sw.counters) =
+    [ c.Sw.frames_received; c.Sw.frames_forwarded; c.Sw.pkt_ins_sent;
+      c.Sw.flow_mods_handled; c.Sw.pkt_outs_handled ]
+  in
+  let ctl_fields (c : Ctl.counters) =
+    [ c.Ctl.pkt_ins_received; c.Ctl.flow_mods_sent; c.Ctl.pkt_outs_sent;
+      c.Ctl.switch_downs ]
+  in
+  let sw = Sw.counters sc.Scenario.switch in
+  let ctl = Ctl.counters sc.Scenario.controller in
+  let sw_then = sw_fields sw and ctl_then = ctl_fields ctl in
+  Alcotest.(check bool) "traffic seen by mid-run" true
+    (sw.Sw.frames_received > 0 && ctl.Ctl.pkt_ins_received > 0);
+  Scenario.run_until_quiet ~min_time:last sc;
+  Alcotest.(check (list int)) "switch snapshot unchanged" sw_then
+    (sw_fields sw);
+  Alcotest.(check (list int)) "controller snapshot unchanged" ctl_then
+    (ctl_fields ctl);
+  Alcotest.(check bool) "live switch counters moved on" true
+    ((Sw.counters sc.Scenario.switch).Sw.frames_received
+     > sw.Sw.frames_received);
+  Alcotest.(check bool) "live controller counters moved on" true
+    ((Ctl.counters sc.Scenario.controller).Ctl.pkt_ins_received
+     > ctl.Ctl.pkt_ins_received)
+
 let suite =
   [
     Alcotest.test_case "all packets delivered under every mechanism" `Quick
@@ -171,6 +217,8 @@ let suite =
     Alcotest.test_case "flow granularity sends fewer requests (Exp-B)" `Quick
       test_flow_granularity_fewer_requests_exp_b;
     Alcotest.test_case "bit-for-bit reproducibility" `Quick test_reproducibility;
+    Alcotest.test_case "counter snapshots are copies" `Quick
+      test_counter_snapshots_are_copies;
     Alcotest.test_case "delay metrics are consistent" `Quick
       test_delays_positive_and_consistent;
     Alcotest.test_case "release-strategy ablation" `Quick

@@ -62,15 +62,27 @@ let test_priority_wins () =
   | None -> Alcotest.fail "expected wildcard hit"
 
 let test_replace_same_match_priority () =
-  let table = Flow_table.create ~capacity:10 () in
   let pkt = udp_pkt ~src_port:1 in
-  ignore (Flow_table.insert table (entry_for ~out_port:2 pkt ~now:0.0));
-  let result = Flow_table.insert table (entry_for ~out_port:3 pkt ~now:1.0) in
-  Alcotest.(check bool) "replaced" true (result = Flow_table.Replaced);
-  Alcotest.(check int) "length" 1 (Flow_table.length table);
-  match Flow_table.lookup table ~in_port:1 pkt with
-  | Some e -> Alcotest.(check int) "new actions" 3 (out_port_of e)
-  | None -> Alcotest.fail "expected hit"
+  List.iter
+    (fun (kind, entry) ->
+      let table = Flow_table.create ~capacity:10 () in
+      (* An unrelated rule stays put through the replacement. *)
+      ignore
+        (Flow_table.insert table
+           (entry_for ~priority:7 ~out_port:9 (udp_pkt ~src_port:2) ~now:0.0));
+      ignore (Flow_table.insert table (entry ~out_port:2 ~now:0.0));
+      let result = Flow_table.insert table (entry ~out_port:3 ~now:1.0) in
+      Alcotest.(check bool) (kind ^ ": replaced") true
+        (result = Flow_table.Replaced);
+      Alcotest.(check int) (kind ^ ": length") 2 (Flow_table.length table);
+      match Flow_table.lookup table ~in_port:1 pkt with
+      | Some e ->
+          Alcotest.(check int) (kind ^ ": new actions") 3 (out_port_of e)
+      | None -> Alcotest.fail "expected hit")
+    [
+      ("exact", fun ~out_port ~now -> entry_for ~out_port pkt ~now);
+      ("wildcard", fun ~out_port ~now -> wildcard_entry ~out_port ~now ());
+    ]
 
 let test_capacity_eviction () =
   let table = Flow_table.create ~eviction:true ~capacity:3 () in
@@ -342,6 +354,230 @@ let prop_inserted_flow_is_found =
         (fun p -> Flow_table.lookup table ~in_port:1 (udp_pkt ~src_port:p) <> None)
         ports)
 
+(* ---- Model-based check against a naive whole-table reference ---- *)
+
+(* The oracle: every rule in install order, each operation a scan of
+   the whole list. The indexed table must keep exactly these
+   semantics. *)
+module Model = struct
+  type t = {
+    capacity : int;
+    eviction : bool;
+    mutable rules : Flow_entry.t list;
+  }
+
+  let remove t r = t.rules <- List.filter (fun x -> x != r) t.rules
+  let append t r = t.rules <- t.rules @ [ r ]
+
+  let insert t (e : Flow_entry.t) =
+    let identical (r : Flow_entry.t) =
+      r.Flow_entry.priority = e.Flow_entry.priority
+      && Of_match.equal r.Flow_entry.match_ e.Flow_entry.match_
+    in
+    match (List.find_opt identical t.rules, t.rules) with
+    | Some old, _ ->
+        remove t old;
+        append t e;
+        Flow_table.Replaced
+    | None, _ when List.length t.rules < t.capacity ->
+        append t e;
+        Flow_table.Installed
+    | None, [] -> Flow_table.Table_full
+    | None, _ when not t.eviction -> Flow_table.Table_full
+    | None, first :: _ ->
+        (* Lowest priority, then least recently used, then oldest. *)
+        let before (a : Flow_entry.t) (b : Flow_entry.t) =
+          a.Flow_entry.priority < b.Flow_entry.priority
+          || a.Flow_entry.priority = b.Flow_entry.priority
+             && a.Flow_entry.last_used < b.Flow_entry.last_used
+        in
+        let victim =
+          List.fold_left (fun v r -> if before r v then r else v) first t.rules
+        in
+        remove t victim;
+        append t e;
+        Flow_table.Evicted victim
+
+  let delete t ~strict ~out_port ~match_ ~priority =
+    let doomed (r : Flow_entry.t) =
+      (if strict then
+         r.Flow_entry.priority = priority
+         && Of_match.equal r.Flow_entry.match_ match_
+       else Of_match.subsumes ~general:match_ ~specific:r.Flow_entry.match_)
+      && (out_port = Of_wire.Port.none
+         || List.exists
+              (function
+                | Of_action.Output { port; _ } -> port = out_port
+                | _ -> false)
+              r.Flow_entry.actions)
+    in
+    let gone, kept = List.partition doomed t.rules in
+    t.rules <- kept;
+    List.length gone
+
+  let expire t ~now =
+    let gone, kept = List.partition (Flow_entry.is_expired ~now) t.rules in
+    t.rules <- kept;
+    gone
+
+  let lookup t ~in_port pkt =
+    List.fold_left
+      (fun best (r : Flow_entry.t) ->
+        if not (Of_match.matches r.Flow_entry.match_ ~in_port pkt) then best
+        else
+          match best with
+          | Some (b : Flow_entry.t)
+            when b.Flow_entry.priority >= r.Flow_entry.priority -> best
+          | Some _ | None -> Some r)
+      None t.rules
+end
+
+(* The match pool: exact 5-tuples (three of them, each also pinned to
+   ingress port 1 or 2 — same index bucket, different rule) and
+   wildcards, one of which is a 5-tuple with the source port left
+   open. *)
+let model_matches =
+  let exact src_port in_port =
+    {
+      (Of_match.of_flow_key (Option.get (Packet.flow_key (udp_pkt ~src_port))))
+      with
+      Of_match.in_port;
+    }
+  in
+  let wild = Of_match.wildcard_all in
+  Array.of_list
+    (List.concat_map
+       (fun p -> [ exact p None; exact p (Some 1); exact p (Some 2) ])
+       [ 1; 2; 3 ]
+    @ [
+        wild;
+        { wild with Of_match.in_port = Some 1 };
+        { wild with Of_match.dl_type = Some Ethernet.ethertype_ipv4;
+          nw_proto = Some 17 };
+        { (exact 1 None) with Of_match.tp_src = None };
+      ])
+
+type model_op =
+  | Insert of { m : int; prio : int; idle : int; hard : int; out : int }
+  | Delete of { m : int; strict : bool; prio : int; out : int option }
+  | Expire
+  | Lookup of { in_port : int; src_port : int }
+  | Tick
+
+let show_model_op = function
+  | Insert { m; prio; idle; hard; out } ->
+      Printf.sprintf "insert m%d p%d idle=%d hard=%d out=%d" m prio idle hard
+        out
+  | Delete { m; strict; prio; out } ->
+      Printf.sprintf "delete%s m%d p%d out=%s"
+        (if strict then "-strict" else "") m prio
+        (match out with Some o -> string_of_int o | None -> "any")
+  | Expire -> "expire"
+  | Lookup { in_port; src_port } ->
+      Printf.sprintf "lookup in=%d src=%d" in_port src_port
+  | Tick -> "tick"
+
+let model_op_gen =
+  let open QCheck.Gen in
+  let m = int_bound (Array.length model_matches - 1) and prio = int_range 1 3 in
+  frequency
+    [
+      ( 5,
+        map3
+          (fun (m, prio) (idle, hard) out ->
+            Insert { m; prio; idle; hard; out })
+          (pair m prio)
+          (pair (oneofl [ 0; 2; 5 ]) (oneofl [ 0; 4 ]))
+          (int_range 1 3) );
+      ( 1,
+        map3
+          (fun (m, prio) strict out -> Delete { m; strict; prio; out })
+          (pair m prio) bool
+          (opt (int_range 1 3)) );
+      (1, return Expire);
+      ( 4,
+        map2
+          (fun in_port src_port -> Lookup { in_port; src_port })
+          (int_range 1 2) (int_range 1 4) );
+      (2, return Tick);
+    ]
+
+let prop_flow_table_model =
+  QCheck.Test.make ~name:"flow table agrees with a naive whole-table model"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (eviction, ops) ->
+          Printf.sprintf "eviction=%b\n%s" eviction
+            (String.concat "\n" (List.map show_model_op ops)))
+        ~shrink:Shrink.(pair bool list)
+        Gen.(pair bool (list_size (int_range 1 80) model_op_gen)))
+    (fun (eviction, ops) ->
+      let capacity = 5 in
+      let table = Flow_table.create ~eviction ~capacity () in
+      let model = { Model.capacity; eviction; rules = [] } in
+      let now = ref 0.0 in
+      let same_list a b =
+        List.length a = List.length b && List.for_all2 ( == ) a b
+      in
+      let step op =
+        match op with
+        | Insert { m; prio; idle; hard; out } -> (
+            let entry =
+              Flow_entry.of_flow_mod
+                (Of_flow_mod.add ~priority:prio ~idle_timeout:idle
+                   ~hard_timeout:hard ~match_:model_matches.(m)
+                   ~actions:[ Of_action.output out ] ())
+                ~now:!now
+            in
+            match (Flow_table.insert table entry, Model.insert model entry) with
+            | Flow_table.Installed, Flow_table.Installed
+            | Flow_table.Replaced, Flow_table.Replaced
+            | Flow_table.Table_full, Flow_table.Table_full -> true
+            | Flow_table.Evicted a, Flow_table.Evicted b -> a == b
+            | ( ( Flow_table.Installed | Flow_table.Replaced
+                | Flow_table.Evicted _ | Flow_table.Table_full ),
+                _ ) ->
+                false)
+        | Delete { m; strict; prio; out } ->
+            let out_port = Option.value out ~default:Of_wire.Port.none in
+            Flow_table.delete table ~strict ~out_port ~match_:model_matches.(m)
+              ~priority:prio ()
+            = Model.delete model ~strict ~out_port ~match_:model_matches.(m)
+                ~priority:prio
+        | Expire ->
+            same_list (Flow_table.expire table ~now:!now)
+              (Model.expire model ~now:!now)
+        | Lookup { in_port; src_port } -> (
+            let pkt = udp_pkt ~src_port in
+            match
+              (Flow_table.lookup_uncached table ~in_port pkt,
+               Model.lookup model ~in_port pkt)
+            with
+            | None, None -> true
+            | Some a, Some b ->
+                (* Ties at the top priority may resolve to a different
+                   rule; the answer must still be a live matching rule
+                   of the winning priority. *)
+                let ok =
+                  a.Flow_entry.priority = b.Flow_entry.priority
+                  && List.memq a model.Model.rules
+                  && Of_match.matches a.Flow_entry.match_ ~in_port pkt
+                in
+                Flow_entry.touch a ~now:!now ~bytes:100;
+                ok
+            | Some _, None | None, Some _ -> false)
+        | Tick ->
+            now := !now +. 0.75;
+            true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Flow_table.length table = List.length model.Model.rules
+          && same_list (Flow_table.entries table) model.Model.rules)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "miss on empty table" `Quick test_miss_on_empty;
@@ -371,4 +607,5 @@ let suite =
       test_microflow_audit_clean;
     QCheck_alcotest.to_alcotest prop_microflow_equivalence;
     QCheck_alcotest.to_alcotest prop_inserted_flow_is_found;
+    QCheck_alcotest.to_alcotest prop_flow_table_model;
   ]

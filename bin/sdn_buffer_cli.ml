@@ -420,83 +420,40 @@ let chaos_cmd =
   in
   let run seed rate loss_rates faults outage durations crash modes downs policy
       policies buffers check jobs =
-    if policy then begin
-      let base =
-        { (Chaos.default_policy_base ~seed) with Config.check; jobs }
-      in
-      let points = Chaos.run_policy ~policies ~buffers ~base () in
-      Chaos.print_policy_report points;
-      check_exit
-        (List.map
-           (fun (p : Chaos.policy_point) ->
-             (Printf.sprintf "policy/%s" (Config.label p.Chaos.config),
-              p.Chaos.result))
-           points)
-    end
-    else if crash then begin
-      let base =
-        {
-          (Chaos.default_crash_base ~seed) with
-          Config.rate_mbps = rate;
-          check;
-          jobs;
-        }
-      in
-      let points = Chaos.run_crash ~modes ~downs ~base () in
-      Chaos.print_crash_report points;
-      check_exit
-        (List.map
-           (fun (p : Chaos.crash_point) ->
-             ( Printf.sprintf "%s/%s/%s/%.0fms"
-                 (Config.label p.Chaos.config)
-                 (Sdn_sim.Faults.crash_node_to_string p.Chaos.node)
-                 (Sdn_sim.Faults.restart_mode_to_string p.Chaos.mode)
-                 (p.Chaos.down *. 1e3),
-               p.Chaos.result ))
-           points)
-    end
-    else if outage then begin
-      let base =
-        {
-          (Chaos.default_outage_base ~seed) with
-          Config.rate_mbps = rate;
-          check;
-          jobs;
-        }
-      in
-      let points = Chaos.run_outage ~durations ~base () in
-      Chaos.print_outage_report points;
-      check_exit
-        (List.map
-           (fun (p : Chaos.outage_point) ->
-             ( Printf.sprintf "%s/%s/%.0fms"
-                 (Config.label p.Chaos.config)
-                 (Sdn_switch.Session.fail_mode_to_string p.Chaos.fail_mode)
-                 (p.Chaos.duration *. 1e3),
-               p.Chaos.result ))
-           points)
-    end
-    else begin
-      let base =
-        {
-          (Chaos.default_base ~seed) with
-          Config.rate_mbps = rate;
-          faults;
-          check;
-          jobs;
-        }
-      in
-      let points = Chaos.run ~loss_rates ~base () in
-      Chaos.print_report points;
-      check_exit
-        (List.map
-           (fun (p : Chaos.point) ->
-             ( Printf.sprintf "%s/loss=%.0f%%"
-                 (Config.label p.Chaos.config)
-                 (p.Chaos.loss_rate *. 100.0),
-               p.Chaos.result ))
-           points)
-    end
+    let armed base = { base with Config.rate_mbps = rate; check; jobs } in
+    let report, runs =
+      if policy then
+        let base =
+          { (Chaos.default_policy_base ~seed) with Config.check; jobs }
+        in
+        let points = Chaos.run_policy ~policies ~buffers ~base () in
+        ( Chaos.policy_report points,
+          List.map
+            (fun (p : Chaos.policy_point) -> (p.Chaos.label, p.Chaos.result))
+            points )
+      else if crash then
+        let base = armed (Chaos.default_crash_base ~seed) in
+        let points = Chaos.run_crash ~modes ~downs ~base () in
+        ( Chaos.crash_report points,
+          List.map
+            (fun (p : Chaos.crash_point) -> (p.Chaos.label, p.Chaos.result))
+            points )
+      else if outage then
+        let base = armed (Chaos.default_outage_base ~seed) in
+        let points = Chaos.run_outage ~durations ~base () in
+        ( Chaos.outage_report points,
+          List.map
+            (fun (p : Chaos.outage_point) -> (p.Chaos.label, p.Chaos.result))
+            points )
+      else
+        let base = armed { (Chaos.default_base ~seed) with Config.faults } in
+        let points = Chaos.run ~loss_rates ~base () in
+        ( Chaos.report points,
+          List.map (fun (p : Chaos.point) -> (p.Chaos.label, p.Chaos.result)) points
+        )
+    in
+    print_string report;
+    check_exit runs
   in
   let term =
     Term.(
@@ -622,7 +579,7 @@ let validate_cmd =
         close_out oc;
         Printf.printf "wrote %s\n" path)
       csv_path;
-    if check && report.Validate.violations > 0 then exit 1;
+    check_exit report.Validate.runs;
     if not report.Validate.ok then exit 2
   in
   let term =

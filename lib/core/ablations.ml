@@ -10,16 +10,24 @@ let buffer_sizing ?(rates = [ 25.0; 50.0; 75.0; 100.0 ])
     "\n== Ablation: buffer sizing (Exp-A, packet granularity) ==\n\
      Units in use and full-packet fallbacks per (rate, pool size); the\n\
      paper concludes ~80 units suffice for a 100 Mbps interface.\n\n";
+  let runs =
+    List.map
+      (fun rate ->
+        ( rate,
+          List.map
+            (fun size ->
+              ( size,
+                run_config
+                  (Config.exp_a ~mechanism:Config.Packet_granularity
+                     ~buffer_capacity:size ~rate_mbps:rate ~seed) ))
+            sizes ))
+      rates
+  in
   let rows =
     List.concat_map
-      (fun rate ->
+      (fun (rate, by_size) ->
         List.map
-          (fun size ->
-            let r =
-              run_config
-                (Config.exp_a ~mechanism:Config.Packet_granularity
-                   ~buffer_capacity:size ~rate_mbps:rate ~seed)
-            in
+          (fun (size, r) ->
             [
               Printf.sprintf "%.0f" rate;
               string_of_int size;
@@ -28,32 +36,27 @@ let buffer_sizing ?(rates = [ 25.0; 50.0; 75.0; 100.0 ])
               string_of_int r.Experiment.full_packet_fallbacks;
               (if r.Experiment.full_packet_fallbacks = 0 then "yes" else "no");
             ])
-          sizes)
-      rates
+          by_size)
+      runs
   in
   Report.print_table
     ~header:
       [ "rate(Mbps)"; "pool size"; "mean in use"; "max in use"; "fallbacks";
         "sufficient" ]
     ~rows;
-  (* Minimum sufficient size per rate. *)
+  (* Minimum sufficient size per rate, read off the same runs. *)
   Printf.printf "\nMinimum sufficient pool size per rate:\n";
   List.iter
-    (fun rate ->
+    (fun (rate, by_size) ->
       let min_sufficient =
-        List.find_opt
-          (fun size ->
-            let r =
-              run_config
-                (Config.exp_a ~mechanism:Config.Packet_granularity
-                   ~buffer_capacity:size ~rate_mbps:rate ~seed)
-            in
-            r.Experiment.full_packet_fallbacks = 0)
-          sizes
+        List.find_map
+          (fun (size, r) ->
+            if r.Experiment.full_packet_fallbacks = 0 then Some size else None)
+          by_size
       in
       Printf.printf "  %3.0f Mbps: %s units\n" rate
         (match min_sufficient with Some s -> string_of_int s | None -> ">max"))
-    rates
+    runs
 
 (* ---- miss_send_len sweep ---- *)
 

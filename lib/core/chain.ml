@@ -45,26 +45,9 @@ let build (config : Config.t) ~n_switches =
   in
   let switches =
     Array.init n_switches (fun i ->
-        let switch_config =
-          {
-            Sdn_switch.Switch.default_config with
-            Sdn_switch.Switch.datapath_id = Int64.of_int (i + 1);
-            mechanism = config.Config.mechanism;
-            buffer_capacity = max 1 config.Config.buffer_capacity;
-            miss_send_len = config.Config.miss_send_len;
-            resend_timeout = config.Config.resend_timeout;
-            flow_table_capacity = config.Config.flow_table_capacity;
-          }
-        in
-        let switch_config =
-          if config.Config.buffer_capacity = 0 then
-            {
-              switch_config with
-              Sdn_switch.Switch.mechanism = Sdn_switch.Switch.No_buffer;
-            }
-          else switch_config
-        in
-        Sdn_switch.Switch.create engine ~config:switch_config
+        Sdn_switch.Switch.create engine
+          ~config:
+            (Scenario.switch_config ~datapath_id:(Int64.of_int (i + 1)) config)
           ~costs:config.Config.switch_costs ~rng:(Rng.split root_rng) ())
   in
   let chain = ref None in

@@ -9,6 +9,7 @@ open Sdn_sim
 open Sdn_measure
 
 type point = {
+  label : string;
   config : Config.t;
   loss_rate : float;
   result : Experiment.result;
@@ -25,8 +26,20 @@ let default_mechanisms =
 let default_base ~seed =
   Config.exp_b ~mechanism:Config.Flow_granularity ~rate_mbps:20.0 ~seed
 
-let point_config ~base ~mechanism ~loss_rate =
-  let faults = { base.Config.faults with Faults.loss_rate } in
+(* Every sweep below is a list of cells [(label, config, point)] built
+   in the calling domain: the label the cell runs under, its
+   configuration, and how its result completes the report point. Only
+   the [Experiment.run] calls fan out over [jobs]; [point] runs here. *)
+let sweep ?jobs ~base cells =
+  let jobs = Option.value jobs ~default:base.Config.jobs in
+  List.map2
+    (fun (_, _, point) result -> point result)
+    cells
+    (Exec.run ~jobs (List.map (fun (label, config, _) -> (label, config)) cells))
+
+(* [base] running [mechanism] (no pool for no-buffer) under exactly
+   the fault plan [faults]: the legacy loss knob is cleared. *)
+let with_mechanism ~base ~mechanism faults =
   {
     base with
     Config.mechanism;
@@ -36,29 +49,23 @@ let point_config ~base ~mechanism ~loss_rate =
     faults;
   }
 
+let point_config ~base ~mechanism ~loss_rate =
+  with_mechanism ~base ~mechanism { base.Config.faults with Faults.loss_rate }
+
 let run ?(mechanisms = default_mechanisms) ?(loss_rates = default_loss_rates)
     ?jobs ~base () =
-  let jobs = match jobs with Some j -> j | None -> base.Config.jobs in
-  let specs =
-    List.concat_map
-      (fun mechanism ->
-        List.map
-          (fun loss_rate ->
-            (loss_rate, point_config ~base ~mechanism ~loss_rate))
-          loss_rates)
-      mechanisms
-  in
-  let configs = Array.of_list (List.map snd specs) in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        let loss_rate, config = List.nth specs i in
-        Printf.sprintf "chaos/%s/loss=%g" (Config.label config) loss_rate)
-      configs
-  in
-  List.mapi
-    (fun i (loss_rate, config) -> { config; loss_rate; result = results.(i) })
-    specs
+  sweep ?jobs ~base
+    (List.concat_map
+       (fun mechanism ->
+         List.map
+           (fun loss_rate ->
+             let config = point_config ~base ~mechanism ~loss_rate in
+             let label =
+               Printf.sprintf "chaos/%s/loss=%g" (Config.label config) loss_rate
+             in
+             (label, config, fun result -> { label; config; loss_rate; result }))
+           loss_rates)
+       mechanisms)
 
 let completion_ratio (r : Experiment.result) =
   if r.Experiment.flows_started = 0 then 1.0
@@ -125,8 +132,6 @@ let report points =
       Buffer.add_char buf '\n');
   Buffer.contents buf
 
-let print_report points = print_string (report points)
-
 (* ------------------------------------------------------------------ *)
 (* Outage sweep: a scheduled control-channel blackout against the
    session lifecycle.  Where the loss sweep stresses the re-request
@@ -135,6 +140,7 @@ let print_report points = print_string (report points)
    how each fail mode degrades, and what the reconnect resyncs. *)
 
 type outage_point = {
+  label : string;
   config : Config.t;
   fail_mode : Config.fail_mode;
   duration : float;
@@ -155,54 +161,36 @@ let default_outage_base ~seed =
   { base with Config.echo_interval = 0.01; echo_misses = 2 }
 
 let outage_point_config ~base ~mechanism ~fail_mode ~duration =
-  let faults =
-    {
-      base.Config.faults with
-      Faults.outages =
-        [ { Faults.start_s = outage_start; stop_s = outage_start +. duration } ];
-    }
-  in
-  {
-    base with
-    Config.mechanism;
-    buffer_capacity =
-      (if mechanism = Config.No_buffer then 0 else base.Config.buffer_capacity);
-    control_loss_rate = 0.0;
-    fail_mode;
-    faults;
-  }
+  let outage = { Faults.start_s = outage_start; stop_s = outage_start +. duration } in
+  with_mechanism
+    ~base:{ base with Config.fail_mode }
+    ~mechanism
+    { base.Config.faults with Faults.outages = [ outage ] }
 
 let run_outage ?(mechanisms = default_mechanisms)
     ?(fail_modes = default_fail_modes)
     ?(durations = default_outage_durations) ?jobs ~base () =
-  let jobs = match jobs with Some j -> j | None -> base.Config.jobs in
-  let specs =
-    List.concat_map
-      (fun mechanism ->
-        List.concat_map
-          (fun fail_mode ->
-            List.map
-              (fun duration ->
-                ( (fail_mode, duration),
-                  outage_point_config ~base ~mechanism ~fail_mode ~duration ))
-              durations)
-          fail_modes)
-      mechanisms
-  in
-  let configs = Array.of_list (List.map snd specs) in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        let (fail_mode, duration), config = List.nth specs i in
-        Printf.sprintf "outage/%s/%s/%.0fms" (Config.label config)
-          (Sdn_switch.Session.fail_mode_to_string fail_mode)
-          (duration *. 1e3))
-      configs
-  in
-  List.mapi
-    (fun i ((fail_mode, duration), config) ->
-      { config; fail_mode; duration; result = results.(i) })
-    specs
+  sweep ?jobs ~base
+    (List.concat_map
+       (fun mechanism ->
+         List.concat_map
+           (fun fail_mode ->
+             List.map
+               (fun duration ->
+                 let config =
+                   outage_point_config ~base ~mechanism ~fail_mode ~duration
+                 in
+                 let label =
+                   Printf.sprintf "outage/%s/%s/%.0fms" (Config.label config)
+                     (Sdn_switch.Session.fail_mode_to_string fail_mode)
+                     (duration *. 1e3)
+                 in
+                 ( label,
+                   config,
+                   fun result -> { label; config; fail_mode; duration; result } ))
+               durations)
+           fail_modes)
+       mechanisms)
 
 (* Time from the outage opening to the switch declaring Down; "-" when
    the keepalive never noticed (outage shorter than the miss budget). *)
@@ -275,8 +263,6 @@ let outage_report points =
     points;
   Buffer.contents buf
 
-let print_outage_report points = print_string (outage_report points)
-
 (* ------------------------------------------------------------------ *)
 (* Crash sweep: a scheduled node crash (switch or controller, warm or
    cold restart) mid-incast.  Where the outage sweep severs only the
@@ -286,6 +272,7 @@ let print_outage_report points = print_string (outage_report points)
    reconciliation effort spent re-converging the flow state. *)
 
 type crash_point = {
+  label : string;
   config : Config.t;
   node : Sdn_sim.Faults.crash_node;
   mode : Sdn_sim.Faults.restart_mode;
@@ -306,57 +293,40 @@ let crash_start = outage_start
 let default_crash_base = default_outage_base
 
 let crash_point_config ~base ~mechanism ~node ~mode ~down =
-  let faults =
-    {
-      base.Config.faults with
-      Faults.crashes =
-        [ { Faults.node; at_s = crash_start; down_s = down; mode } ];
-    }
-  in
-  {
-    base with
-    Config.mechanism;
-    buffer_capacity =
-      (if mechanism = Config.No_buffer then 0 else base.Config.buffer_capacity);
-    control_loss_rate = 0.0;
-    faults;
-  }
+  let crash = { Faults.node; at_s = crash_start; down_s = down; mode } in
+  with_mechanism ~base ~mechanism
+    { base.Config.faults with Faults.crashes = [ crash ] }
 
 let run_crash ?(mechanisms = default_mechanisms)
     ?(nodes = default_crash_nodes) ?(modes = default_crash_modes)
     ?(downs = default_crash_downs) ?jobs ~base () =
-  let jobs = match jobs with Some j -> j | None -> base.Config.jobs in
-  let specs =
-    List.concat_map
-      (fun mechanism ->
-        List.concat_map
-          (fun node ->
-            List.concat_map
-              (fun mode ->
-                List.map
-                  (fun down ->
-                    ( (node, mode, down),
-                      crash_point_config ~base ~mechanism ~node ~mode ~down ))
-                  downs)
-              modes)
-          nodes)
-      mechanisms
-  in
-  let configs = Array.of_list (List.map snd specs) in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        let (node, mode, down), config = List.nth specs i in
-        Printf.sprintf "crash/%s/%s/%s/%.0fms" (Config.label config)
-          (Faults.crash_node_to_string node)
-          (Faults.restart_mode_to_string mode)
-          (down *. 1e3))
-      configs
-  in
-  List.mapi
-    (fun i ((node, mode, down), config) ->
-      { config; node; mode; down; result = results.(i) })
-    specs
+  sweep ?jobs ~base
+    (List.concat_map
+       (fun mechanism ->
+         List.concat_map
+           (fun node ->
+             List.concat_map
+               (fun mode ->
+                 List.map
+                   (fun down ->
+                     let config =
+                       crash_point_config ~base ~mechanism ~node ~mode ~down
+                     in
+                     let label =
+                       Printf.sprintf "crash/%s/%s/%s/%.0fms"
+                         (Config.label config)
+                         (Faults.crash_node_to_string node)
+                         (Faults.restart_mode_to_string mode)
+                         (down *. 1e3)
+                     in
+                     ( label,
+                       config,
+                       fun result -> { label; config; node; mode; down; result }
+                     ))
+                   downs)
+               modes)
+           nodes)
+       mechanisms)
 
 let crash_row p =
   let r = p.result in
@@ -418,8 +388,6 @@ let crash_report points =
     points;
   Buffer.contents buf
 
-let print_crash_report points = print_string (crash_report points)
-
 (* ------------------------------------------------------------------ *)
 (* Buffer-policy sweep: the shared-buffer sharing disciplines of
    {!Sdn_switch.Buf_policy} swept against pool size under an incast
@@ -430,6 +398,7 @@ let print_crash_report points = print_string (crash_report points)
    threshold behaviour across policies and pool sizes. *)
 
 type policy_point = {
+  label : string;
   config : Config.t;
   policy : Sdn_switch.Buf_policy.kind;
   buffer : int;
@@ -484,28 +453,16 @@ let policy_point_config ~base ~policy ~buffer =
 
 let run_policy ?(policies = default_policies)
     ?(buffers = default_policy_buffers) ?jobs ~base () =
-  let jobs = match jobs with Some j -> j | None -> base.Config.jobs in
-  let specs =
-    List.concat_map
-      (fun policy ->
-        List.map
-          (fun buffer ->
-            ((policy, buffer), policy_point_config ~base ~policy ~buffer))
-          buffers)
-      policies
-  in
-  let configs = Array.of_list (List.map snd specs) in
-  let results =
-    Exec.run_experiments ~jobs
-      ~label:(fun i ->
-        let _, config = List.nth specs i in
-        Printf.sprintf "policy/%s" (Config.label config))
-      configs
-  in
-  List.mapi
-    (fun i ((policy, buffer), config) ->
-      { config; policy; buffer; result = results.(i) })
-    specs
+  sweep ?jobs ~base
+    (List.concat_map
+       (fun policy ->
+         List.map
+           (fun buffer ->
+             let config = policy_point_config ~base ~policy ~buffer in
+             let label = Printf.sprintf "policy/%s" (Config.label config) in
+             (label, config, fun result -> { label; config; policy; buffer; result }))
+           buffers)
+       policies)
 
 let pool_rejected (r : Experiment.result) =
   List.fold_left
@@ -561,5 +518,3 @@ let policy_report points =
         p.result.Experiment.pool_classes)
     points;
   Buffer.contents buf
-
-let print_policy_report points = print_string (policy_report points)

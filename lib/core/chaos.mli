@@ -8,6 +8,9 @@
     byte-identical reports. *)
 
 type point = {
+  label : string;
+      (** the task label the point ran under: the name both the CLI's
+          [--check] epilogue and a parallel-equivalence report use *)
   config : Config.t;  (** the exact configuration the point ran *)
   loss_rate : float;  (** independent loss applied to both control legs *)
   result : Experiment.result;
@@ -39,15 +42,13 @@ val run :
 (** Run the sweep: one experiment per mechanism x loss rate, in
     deterministic order (mechanisms outer, loss rates inner). [jobs]
     (default [base.jobs]) fans the independent points out over worker
-    domains via {!Exec.run_experiments}; results are merged by point
-    index, so every [jobs] value yields an identical point list. *)
+    domains via {!Exec.run}; results are merged by point
+    position, so every [jobs] value yields an identical point list. *)
 
 val report : point list -> string
 (** Deterministic plain-text report: one table row per point plus a
     time-to-recovery histogram aggregated over every point that
     recovered at least one flow. *)
-
-val print_report : point list -> unit
 
 (** {2 Outage sweep}
 
@@ -58,6 +59,7 @@ val print_report : point list -> unit
     across points. Deterministic like the loss sweep. *)
 
 type outage_point = {
+  label : string;  (** the task label the point ran under *)
   config : Config.t;  (** the exact configuration the point ran *)
   fail_mode : Config.fail_mode;
   duration : float;  (** outage length, seconds *)
@@ -106,8 +108,6 @@ val outage_report : outage_point list -> string
     fail-secure drops, frozen/resumed/expired chains, resyncs, false
     positives) plus each point's session-state timeline. *)
 
-val print_outage_report : outage_point list -> unit
-
 (** {2 Crash sweep}
 
     A scheduled node crash–restart swept against buffer mechanism,
@@ -118,6 +118,7 @@ val print_outage_report : outage_point list -> unit
     admission-guard sheds. Deterministic like the other sweeps. *)
 
 type crash_point = {
+  label : string;  (** the task label the point ran under *)
   config : Config.t;  (** the exact configuration the point ran *)
   node : Sdn_sim.Faults.crash_node;
   mode : Sdn_sim.Faults.restart_mode;
@@ -175,8 +176,6 @@ val crash_report : crash_point list -> string
     frozen/resumed/expired chains) plus each point's session timeline
     with crash/restart/reconciliation events marked. *)
 
-val print_crash_report : crash_point list -> unit
-
 (** {2 Buffer-policy sweep}
 
     The shared-buffer sharing disciplines of {!Sdn_switch.Buf_policy}
@@ -188,6 +187,7 @@ val print_crash_report : crash_point list -> unit
     Deterministic like the other sweeps. *)
 
 type policy_point = {
+  label : string;  (** the task label the point ran under *)
   config : Config.t;  (** the exact configuration the point ran *)
   policy : Sdn_switch.Buf_policy.kind;
   buffer : int;  (** packet-pool capacity (the pool-size axis) *)
@@ -226,5 +226,3 @@ val policy_report : policy_point list -> string
     drops, buffered-packet fallbacks, pool high-water mark, pool
     rejections, misroutes, forwarding delay) plus each point's
     per-class occupancy / threshold / admission lines. *)
-
-val print_policy_report : policy_point list -> unit

@@ -17,7 +17,7 @@ type exp_b_data = { packet_gran : Sweep.series; flow_gran : Sweep.series }
 val run_exp_a :
   ?rates:float list -> ?reps:int -> ?jobs:int -> unit -> exp_a_data
 (** [jobs] (default 1) is handed to each {!Sweep.run}; by the
-    {!Exec.run_experiments} contract it never changes the data. *)
+    {!Exec.run} contract it never changes the data. *)
 
 val run_exp_b :
   ?rates:float list -> ?reps:int -> ?jobs:int -> unit -> exp_b_data

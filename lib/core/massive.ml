@@ -13,50 +13,43 @@ type pipeline_stats = {
   pl_check_reports : string list;
 }
 
-let shard_config ~event_queue ~check ~seed ~n_flows =
-  {
-    Config.default with
-    Config.workload = Config.Poisson_flows { n_flows };
-    seed;
-    rate_mbps = 100.0;
-    buffer_capacity = 4096;
-    flow_table_capacity = 65536;
-    check;
-    event_queue;
-  }
+let shard_cells ~flows ~shards ~event_queue ~check ~seed =
+  let shards = max 0 (min shards flows) in
+  List.init shards (fun i ->
+      ( Printf.sprintf "massive/shard-%d" i,
+        {
+          Config.default with
+          Config.workload =
+            Config.Poisson_flows
+              {
+                n_flows = (flows / shards) + if i < flows mod shards then 1 else 0;
+              };
+          seed = seed + i;
+          rate_mbps = 100.0;
+          buffer_capacity = 4096;
+          flow_table_capacity = 65536;
+          check;
+          event_queue;
+        } ))
 
 let run_pipeline ?(flows = 1_000_000) ?(shards = 20) ?(event_queue = `Heap)
     ?(check = false) ?(jobs = 1) ?(seed = 1) () =
   if flows <= 0 then invalid_arg "Massive.run_pipeline: non-positive flows";
   if shards <= 0 then invalid_arg "Massive.run_pipeline: non-positive shards";
-  let shards = min shards flows in
-  let base = flows / shards and extra = flows mod shards in
-  let configs =
-    Array.init shards (fun i ->
-        let n_flows = base + if i < extra then 1 else 0 in
-        shard_config ~event_queue ~check ~seed:(seed + i) ~n_flows)
-  in
-  let results =
-    Exec.run_experiments
-      ~label:(Printf.sprintf "massive/shard-%d")
-      ~jobs configs
-  in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
-  let reports =
-    List.filter_map
-      (fun (i, r) ->
-        Option.map
-          (Printf.sprintf "shard %d:\n%s" i)
-          r.Experiment.check_report)
-      (Array.to_list (Array.mapi (fun i r -> (i, r)) results))
-  in
+  let cells = shard_cells ~flows ~shards ~event_queue ~check ~seed in
+  let results = Exec.run ~jobs cells in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
   {
-    pl_shards = shards;
+    pl_shards = List.length cells;
     pl_flows = flows;
     pl_packets_in = sum (fun r -> r.Experiment.packets_in);
     pl_packets_out = sum (fun r -> r.Experiment.packets_out);
     pl_flows_completed = sum (fun r -> r.Experiment.flows_completed);
     pl_sim_events = sum (fun r -> r.Experiment.sim_events);
     pl_check_violations = sum (fun r -> r.Experiment.check_violations);
-    pl_check_reports = reports;
+    pl_check_reports =
+      List.filter_map
+        (fun ((label, _), r) ->
+          Option.map (Printf.sprintf "%s:\n%s" label) r.Experiment.check_report)
+        (List.combine cells results);
   }

@@ -3,7 +3,7 @@
     Injects an extreme flow count through the {e full}
     switch/controller pipeline (PACKET_IN, buffering, flow-mod,
     forwarding) as independent Poisson single-packet-flow shards fanned
-    out over {!Exec.run_experiments}, so [--jobs] and [--check]
+    out over {!Exec.run}, so [--jobs] and [--check]
     (parallel-equivalence replay included) work exactly as in the
     standard sweeps. {!Experiment.result.sim_events} summed over shards
     is the numerator of the headline events/s rate.
@@ -21,8 +21,22 @@ type pipeline_stats = {
   pl_flows_completed : int;
   pl_sim_events : int;  (** engine events dispatched, summed over shards *)
   pl_check_violations : int;
-  pl_check_reports : string list;  (** per-shard reports, shard order *)
+  pl_check_reports : string list;
+      (** per-shard reports, shard order, each headed by its shard's
+          label *)
 }
+
+val shard_cells :
+  flows:int ->
+  shards:int ->
+  event_queue:Sdn_sim.Engine.queue_kind ->
+  check:bool ->
+  seed:int ->
+  (string * Config.t) list
+(** The labelled shard configurations {!run_pipeline} runs:
+    [min shards flows] shards labelled [massive/shard-<i>], seeded
+    [seed + i], splitting [flows] as evenly as possible. Empty when
+    [flows] or [shards] is non-positive. *)
 
 val run_pipeline :
   ?flows:int ->

@@ -28,6 +28,44 @@ type t = {
 let host1_ip = Ip.make 10 0 0 1
 let host2_ip = Ip.make 10 0 0 2
 
+(* The Config -> Switch.config mapping every topology builds its
+   switches with. *)
+let switch_config ~datapath_id (config : Config.t) =
+  {
+    Sdn_switch.Switch.default_config with
+    Sdn_switch.Switch.datapath_id;
+    (* buffer_capacity = 0 means the no-buffer configuration. *)
+    mechanism =
+      (if config.Config.buffer_capacity = 0 then Sdn_switch.Switch.No_buffer
+       else config.Config.mechanism);
+    buffer_capacity = max 1 config.Config.buffer_capacity;
+    miss_send_len = config.Config.miss_send_len;
+    resend_timeout = config.Config.resend_timeout;
+    resend_multiplier = config.Config.resend_multiplier;
+    resend_cap = config.Config.resend_cap;
+    resend_jitter = config.Config.resend_jitter;
+    max_resends = config.Config.max_resends;
+    flow_table_capacity = config.Config.flow_table_capacity;
+    echo_interval = config.Config.echo_interval;
+    echo_misses = config.Config.echo_misses;
+    fail_mode = config.Config.fail_mode;
+    overload_watermark = config.Config.overload_watermark;
+    buf_policy = config.Config.buf_policy;
+    (* Headroom for the non-static policies: twice the QoS queues'
+       combined capacity, so complete sharing / DT have real slack to
+       move between the ingress pool and the egress classes. Static
+       ignores it (admission is per-class quota). *)
+    shared_headroom =
+      (match (config.Config.buf_policy, config.Config.qos) with
+      | Some _, Some qos ->
+          2
+          * List.fold_left
+              (fun acc (q : Sdn_switch.Egress_queue.queue_config) ->
+                acc + q.Sdn_switch.Egress_queue.capacity)
+              0 qos.Config.queues
+      | _, _ -> 0);
+  }
+
 let build (config : Config.t) =
   let engine = Engine.create ~queue:config.Config.event_queue () in
   let root_rng = Rng.of_int config.Config.seed in
@@ -40,46 +78,9 @@ let build (config : Config.t) =
     if config.Config.check then Some (Sdn_check.Check.create ()) else None
   in
   let addressing = Sdn_traffic.Addressing.default in
-  let switch_config =
-    {
-      Sdn_switch.Switch.default_config with
-      Sdn_switch.Switch.mechanism = config.Config.mechanism;
-      buffer_capacity = max 1 config.Config.buffer_capacity;
-      miss_send_len = config.Config.miss_send_len;
-      resend_timeout = config.Config.resend_timeout;
-      resend_multiplier = config.Config.resend_multiplier;
-      resend_cap = config.Config.resend_cap;
-      resend_jitter = config.Config.resend_jitter;
-      max_resends = config.Config.max_resends;
-      flow_table_capacity = config.Config.flow_table_capacity;
-      echo_interval = config.Config.echo_interval;
-      echo_misses = config.Config.echo_misses;
-      fail_mode = config.Config.fail_mode;
-      overload_watermark = config.Config.overload_watermark;
-      buf_policy = config.Config.buf_policy;
-      (* Headroom for the non-static policies: twice the QoS queues'
-         combined capacity, so complete sharing / DT have real slack to
-         move between the ingress pool and the egress classes. Static
-         ignores it (admission is per-class quota). *)
-      shared_headroom =
-        (match (config.Config.buf_policy, config.Config.qos) with
-        | Some _, Some qos ->
-            2
-            * List.fold_left
-                (fun acc (q : Sdn_switch.Egress_queue.queue_config) ->
-                  acc + q.Sdn_switch.Egress_queue.capacity)
-                0 qos.Config.queues
-        | _, _ -> 0);
-    }
-  in
-  (* buffer_capacity = 0 means the no-buffer configuration. *)
-  let switch_config =
-    if config.Config.buffer_capacity = 0 then
-      { switch_config with Sdn_switch.Switch.mechanism = Sdn_switch.Switch.No_buffer }
-    else switch_config
-  in
   let switch =
-    Sdn_switch.Switch.create engine ?check ~config:switch_config
+    Sdn_switch.Switch.create engine ?check
+      ~config:(switch_config ~datapath_id:1L config)
       ~costs:config.Config.switch_costs ~rng:switch_rng ()
   in
   let hosts =

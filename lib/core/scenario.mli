@@ -40,6 +40,14 @@ type t = {
           {!crash_events} *)
 }
 
+val switch_config :
+  datapath_id:int64 -> Config.t -> Sdn_switch.Switch.config
+(** The switch configuration a [Config.t] describes, for the switch
+    with datapath id [datapath_id]: every per-switch field of the
+    config carried over, and [buffer_capacity = 0] read as the
+    no-buffer mechanism. {!build} and {!Chain.build} both build their
+    switches from it. *)
+
 val build : Config.t -> t
 (** Construct and hand-shake the whole platform (switch housekeeping
     started, controller HELLO / FEATURES exchanged at time zero, flow

@@ -27,8 +27,8 @@ val run :
     repetitions and across rates).
 
     [jobs] (default 1) fans the independent replications out over that
-    many worker domains via {!Exec.run_experiments}; results are merged
-    by grid index, so every [jobs] value yields an identical [series].
+    many worker domains via {!Exec.run_groups}; results are merged
+    by grid position, so every [jobs] value yields an identical [series].
     [make_config] is always called sequentially in the calling domain,
     rates outer and repetitions inner, exactly as in the sequential
     path — only the [Experiment.run] calls parallelize. *)

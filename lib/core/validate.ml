@@ -38,7 +38,12 @@ type point = {
   p_ok : bool;
 }
 
-type report = { points : point list; ok : bool; violations : int }
+type report = {
+  points : point list;
+  ok : bool;
+  violations : int;
+  runs : (string * Experiment.result) list;
+}
 
 type grid = {
   rhos : float list;
@@ -190,6 +195,17 @@ let validation_controller_costs profile =
    0.9 for this profile. Switch stations are sized off it so they
    reach util_cap exactly there. *)
 let lambda_top cc = 0.9 *. float_of_int cc.Ctl.cores /. controller_service cc ~data_out:0
+
+(* Per-visit kernel and userspace service times (jackson and blocking
+   regimes) and the single switch station's (feedback regime). The
+   feedback sweep's top rate is higher (the controller serves only the
+   miss fraction), so its station is sized off its own top. *)
+let switch_services cc =
+  let lt = lambda_top cc in
+  (util_cap /. (kernel_visits *. lt), util_cap /. (userspace_visits *. lt))
+
+let feedback_service cc =
+  util_cap /. ((1.0 +. q_mix) *. (lambda_top cc /. q_mix))
 
 let jackson_switch_costs ~s_k ~s_u =
   {
@@ -587,9 +603,7 @@ let specs_of grid =
   let blocking =
     with_profiles (fun profile ->
         let cc = validation_controller_costs profile in
-        let lt = lambda_top cc in
-        let s_k = util_cap /. (kernel_visits *. lt) in
-        let s_u = util_cap /. (userspace_visits *. lt) in
+        let s_k, s_u = switch_services cc in
         List.map
           (fun a ->
             {
@@ -605,17 +619,11 @@ let specs_of grid =
 
 let spec_switch_costs spec =
   let cc = validation_controller_costs spec.sp_profile in
-  let lt = lambda_top cc in
   match spec.sp_regime with
   | Jackson_r | Blocking_r ->
-      jackson_switch_costs
-        ~s_k:(util_cap /. (kernel_visits *. lt))
-        ~s_u:(util_cap /. (userspace_visits *. lt))
-  | Feedback_r ->
-      (* The feedback sweep's top rate is higher (controller serves
-         only the miss fraction), so the single switch station is
-         sized off its own top. *)
-      feedback_switch_costs ~s_s:(util_cap /. ((1.0 +. q_mix) *. (lt /. q_mix)))
+      let s_k, s_u = switch_services cc in
+      jackson_switch_costs ~s_k ~s_u
+  | Feedback_r -> feedback_switch_costs ~s_s:(feedback_service cc)
 
 let rate_mbps_of lambda = lambda *. float_of_int frame_size *. 8.0 /. 1e6
 
@@ -649,27 +657,9 @@ let label_of spec ~rep =
     (match spec.sp_regime with Blocking_r -> "offered" | _ -> "rho")
     spec.sp_target rep
 
-let point_of spec results =
-  let obs = observe results in
-  let cc = validation_controller_costs spec.sp_profile in
-  let lt = lambda_top cc in
-  let s_k = util_cap /. (kernel_visits *. lt) in
-  let s_u = util_cap /. (userspace_visits *. lt) in
-  let metrics =
-    match spec.sp_regime with
-    | Jackson_r ->
-        jackson_metrics ~lambda:spec.sp_lambda ~cc ~s_k ~s_u ~n:spec.sp_n obs
-          ~target:spec.sp_target
-    | Feedback_r ->
-        feedback_metrics ~lambda:spec.sp_lambda ~cc
-          ~s_s:(util_cap /. ((1.0 +. q_mix) *. (lt /. q_mix)))
-          ~n:spec.sp_n obs ~target:spec.sp_target
-    | Blocking_r ->
-        blocking_metrics ~lambda:spec.sp_lambda ~cc ~s_k ~s_u ~capacity:16
-          ~n:spec.sp_n obs ~target:spec.sp_target
-  in
+let scored spec ~regime metrics =
   {
-    regime = regime_name spec.sp_regime;
+    regime;
     profile = Ctl.profile_to_string spec.sp_profile;
     target = spec.sp_target;
     lambda_pps = spec.sp_lambda;
@@ -678,44 +668,51 @@ let point_of spec results =
     p_ok = List.for_all (fun m -> m.m_ok) metrics;
   }
 
-let run ?(check = false) ~jobs grid =
-  let specs = specs_of grid in
-  let configs =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun spec_idx spec ->
-              List.init grid.reps (fun rep ->
-                  config_of spec ~spec_idx ~rep ~check))
-            specs))
-  in
-  let labels =
-    Array.of_list
-      (List.concat
-         (List.map
-            (fun spec -> List.init grid.reps (fun rep -> label_of spec ~rep))
-            specs))
-  in
-  let results =
-    Exec.run_experiments ~label:(fun i -> labels.(i)) ~jobs configs
-  in
-  let points =
+let point_of spec results =
+  let obs = observe results in
+  let cc = validation_controller_costs spec.sp_profile in
+  let s_k, s_u = switch_services cc in
+  scored spec ~regime:(regime_name spec.sp_regime)
+    (match spec.sp_regime with
+    | Jackson_r ->
+        jackson_metrics ~lambda:spec.sp_lambda ~cc ~s_k ~s_u ~n:spec.sp_n obs
+          ~target:spec.sp_target
+    | Feedback_r ->
+        feedback_metrics ~lambda:spec.sp_lambda ~cc ~s_s:(feedback_service cc)
+          ~n:spec.sp_n obs ~target:spec.sp_target
+    | Blocking_r ->
+        blocking_metrics ~lambda:spec.sp_lambda ~cc ~s_k ~s_u ~capacity:16
+          ~n:spec.sp_n obs ~target:spec.sp_target)
+
+(* [reps] replications of every spec, run through the one funnel in a
+   single grid; each spec's pooled results score one point. [cell]
+   labels and configures one replication in the calling domain. *)
+let run_specs ~jobs ~reps specs ~cell ~point =
+  let groups =
     List.mapi
-      (fun spec_idx spec ->
-        let slice =
-          List.init grid.reps (fun rep -> results.((spec_idx * grid.reps) + rep))
-        in
-        point_of spec slice)
+      (fun spec_idx spec -> List.init reps (fun rep -> cell spec ~spec_idx ~rep))
       specs
+  in
+  let results = Exec.run_groups ~jobs groups in
+  let points = List.map2 point specs results in
+  let runs =
+    List.concat
+      (List.map2 (List.map2 (fun (label, _) r -> (label, r))) groups results)
   in
   {
     points;
     ok = List.for_all (fun p -> p.p_ok) points;
     violations =
-      Array.fold_left
-        (fun acc (r : Experiment.result) -> acc + r.Experiment.check_violations)
-        0 results;
+      List.fold_left
+        (fun acc (_, r) -> acc + r.Experiment.check_violations)
+        0 runs;
+    runs;
   }
+
+let run ?(check = false) ~jobs grid =
+  run_specs ~jobs ~reps:grid.reps (specs_of grid) ~point:point_of
+    ~cell:(fun spec ~spec_idx ~rep ->
+      (label_of spec ~rep, config_of spec ~spec_idx ~rep ~check))
 
 (* ---- Crash reconvergence gate ---- *)
 
@@ -788,9 +785,7 @@ let tol_exact = { rel = 0.0; abs = 1e-6 }
 let reconvergence_point_of spec results =
   let obs = observe results in
   let cc = validation_controller_costs spec.sp_profile in
-  let lt = lambda_top cc in
-  let s_k = util_cap /. (kernel_visits *. lt) in
-  let s_u = util_cap /. (userspace_visits *. lt) in
+  let s_k, s_u = switch_services cc in
   let steady =
     jackson_metrics ~lambda:spec.sp_lambda ~cc ~s_k ~s_u ~n:spec.sp_n obs
       ~target:spec.sp_target
@@ -823,31 +818,21 @@ let reconvergence_point_of spec results =
       0 results
   in
   let crash = reconvergence_crash spec in
-  let metrics =
-    delays
-    @ [
-        (* Warm switch restarts are restart-driven, not timeout-driven:
-           time back to steady state tracks the scheduled outage plus a
-           reconnect probe and a handshake's worth of resync. *)
-        mk_metric "recovery_time_s" crash.Sdn_sim.Faults.down_s recovery_mean
-          tol_recovery;
-        (* Every crash must end in exactly one completed flow-state
-           reconciliation; nan/0 here means the node never recovered. *)
-        mk_metric "reconciliations_per_crash" 1.0
-          (if crashes = 0 then nan
-           else float_of_int reconciled /. float_of_int crashes)
-          tol_exact;
-      ]
-  in
-  {
-    regime = "reconverge";
-    profile = Ctl.profile_to_string spec.sp_profile;
-    target = spec.sp_target;
-    lambda_pps = spec.sp_lambda;
-    rate_mbps = rate_mbps_of spec.sp_lambda;
-    metrics;
-    p_ok = List.for_all (fun m -> m.m_ok) metrics;
-  }
+  scored spec ~regime:"reconverge"
+    (delays
+     @ [
+          (* Warm switch restarts are restart-driven, not timeout-driven:
+             time back to steady state tracks the scheduled outage plus a
+             reconnect probe and a handshake's worth of resync. *)
+          mk_metric "recovery_time_s" crash.Sdn_sim.Faults.down_s recovery_mean
+            tol_recovery;
+          (* Every crash must end in exactly one completed flow-state
+             reconciliation; nan/0 here means the node never recovered. *)
+          mk_metric "reconciliations_per_crash" 1.0
+            (if crashes = 0 then nan
+             else float_of_int reconciled /. float_of_int crashes)
+            tol_exact;
+       ])
 
 let reconvergence ?(check = false) ~jobs () =
   let grid = reconvergence_grid in
@@ -856,46 +841,12 @@ let reconvergence ?(check = false) ~jobs () =
       (fun s -> match s.sp_regime with Jackson_r -> true | _ -> false)
       (specs_of grid)
   in
-  let configs =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun spec_idx spec ->
-              List.init grid.reps (fun rep ->
-                  reconvergence_config_of spec ~spec_idx ~rep ~check))
-            specs))
-  in
-  let labels =
-    Array.of_list
-      (List.concat
-         (List.map
-            (fun spec ->
-              List.init grid.reps (fun rep ->
-                  Printf.sprintf "reconverge/%s/rho=%g/rep=%d"
-                    (Ctl.profile_to_string spec.sp_profile)
-                    spec.sp_target rep))
-            specs))
-  in
-  let results =
-    Exec.run_experiments ~label:(fun i -> labels.(i)) ~jobs configs
-  in
-  let points =
-    List.mapi
-      (fun spec_idx spec ->
-        let slice =
-          List.init grid.reps (fun rep -> results.((spec_idx * grid.reps) + rep))
-        in
-        reconvergence_point_of spec slice)
-      specs
-  in
-  {
-    points;
-    ok = List.for_all (fun p -> p.p_ok) points;
-    violations =
-      Array.fold_left
-        (fun acc (r : Experiment.result) -> acc + r.Experiment.check_violations)
-        0 results;
-  }
+  run_specs ~jobs ~reps:grid.reps specs ~point:reconvergence_point_of
+    ~cell:(fun spec ~spec_idx ~rep ->
+      ( Printf.sprintf "reconverge/%s/rho=%g/rep=%d"
+          (Ctl.profile_to_string spec.sp_profile)
+          spec.sp_target rep,
+        reconvergence_config_of spec ~spec_idx ~rep ~check ))
 
 (* ---- Rendering ---- *)
 

@@ -8,7 +8,7 @@
     [Poisson_flows]/[Poisson_mix] workloads, [Exponential] service
     noise, congestion/GC/amortization machinery neutralized, uniform
     per-node service times sized so every station stays inside its
-    band), runs them through {!Exec.run_experiments} — inheriting the
+    band), runs them through {!Exec.run_groups} — inheriting the
     deterministic parallel contract and the [--check] replay — and
     asserts relative agreement within per-metric tolerance bands.
 
@@ -65,6 +65,9 @@ type report = {
   points : point list;
   ok : bool;  (** every metric of every point within tolerance *)
   violations : int;  (** runtime-checker violations, when armed *)
+  runs : (string * Experiment.result) list;
+      (** every replication pooled into [points], under the task label
+          it ran with *)
 }
 
 type grid = {
@@ -92,7 +95,7 @@ val golden_grid : grid
 
 val run : ?check:bool -> jobs:int -> grid -> report
 (** Generate the grid's configurations, execute them on [jobs] worker
-    domains ({!Exec.run_experiments}: byte-identical for every [jobs]
+    domains ({!Exec.run_groups}: byte-identical for every [jobs]
     value), pool replications and compare against the models.
     [check] arms the runtime protocol-invariant checker in every
     run. *)

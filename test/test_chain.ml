@@ -80,6 +80,48 @@ let test_chain_reproducible () =
     b.Chain.setup_delay.Experiment.mean;
   Alcotest.(check int) "same requests" a.Chain.pkt_ins b.Chain.pkt_ins
 
+(* Every per-switch Config field reaches every switch of the chain,
+   exactly as a single-switch scenario maps it. *)
+let test_chain_switches_carry_config () =
+  let cfg =
+    {
+      (config ~mechanism:Config.Flow_granularity ()) with
+      Config.resend_multiplier = 3.0;
+      resend_cap = 0.2;
+      resend_jitter = 0.0;
+      max_resends = 0;
+      echo_interval = 0.02;
+      echo_misses = 5;
+      fail_mode = Config.Fail_standalone;
+      overload_watermark = 0.5;
+      buf_policy = Some Sdn_switch.Buf_policy.Sharing;
+    }
+  in
+  let chain = Chain.build cfg ~n_switches:2 in
+  Array.iteri
+    (fun i sw ->
+      let c = Sdn_switch.Switch.config sw in
+      let what field = Printf.sprintf "sw%d %s" (i + 1) field in
+      Alcotest.(check int64) (what "datapath_id") (Int64.of_int (i + 1))
+        c.Sdn_switch.Switch.datapath_id;
+      Alcotest.(check (float 0.0)) (what "resend_multiplier") 3.0
+        c.Sdn_switch.Switch.resend_multiplier;
+      Alcotest.(check (float 0.0)) (what "resend_cap") 0.2
+        c.Sdn_switch.Switch.resend_cap;
+      Alcotest.(check (float 0.0)) (what "resend_jitter") 0.0
+        c.Sdn_switch.Switch.resend_jitter;
+      Alcotest.(check int) (what "max_resends") 0 c.Sdn_switch.Switch.max_resends;
+      Alcotest.(check (float 0.0)) (what "echo_interval") 0.02
+        c.Sdn_switch.Switch.echo_interval;
+      Alcotest.(check int) (what "echo_misses") 5 c.Sdn_switch.Switch.echo_misses;
+      Alcotest.(check bool) (what "fail_mode") true
+        (c.Sdn_switch.Switch.fail_mode = Config.Fail_standalone);
+      Alcotest.(check (float 0.0)) (what "overload_watermark") 0.5
+        c.Sdn_switch.Switch.overload_watermark;
+      Alcotest.(check bool) (what "buf_policy") true
+        (c.Sdn_switch.Switch.buf_policy = Some Sdn_switch.Buf_policy.Sharing))
+    chain.Chain.switches
+
 let suite =
   [
     Alcotest.test_case "single switch sanity" `Quick
@@ -94,4 +136,6 @@ let suite =
       test_flow_granularity_in_chain;
     Alcotest.test_case "rejects empty chain" `Quick test_rejects_empty_chain;
     Alcotest.test_case "chain runs are reproducible" `Quick test_chain_reproducible;
+    Alcotest.test_case "chain switches carry every config field" `Quick
+      test_chain_switches_carry_config;
   ]

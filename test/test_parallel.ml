@@ -101,6 +101,21 @@ let test_replay_index_deterministic () =
   Alcotest.(check int) "stable across calls" idx (Exec.replay_index configs);
   Alcotest.(check int) "empty grid" 0 (Exec.replay_index [||])
 
+let test_run_groups_keeps_shapes () =
+  let cell seed =
+    (Printf.sprintf "group/seed=%d" seed, tiny_config ~rate_mbps:30.0 ~seed ())
+  in
+  let groups = [ []; [ cell 1; cell 2 ]; []; [ cell 3 ] ] in
+  let grouped = Exec.run_groups ~jobs:2 groups in
+  Alcotest.(check (list int)) "group sizes" [ 0; 2; 0; 1 ]
+    (List.map List.length grouped);
+  List.iter2
+    (fun a b ->
+      Alcotest.(check (list string)) "cell order kept" []
+        (Experiment.diff_result a b))
+    (Exec.run ~jobs:1 (List.concat groups))
+    (List.concat grouped)
+
 (* ---- Jobs-equivalence: every sweep family, jobs in {1, 2, 4} ---- *)
 
 let run_tiny_sweep ~jobs =
@@ -168,6 +183,64 @@ let test_chaos_outage_jobs_equivalence () =
       Alcotest.(check (list string)) "result fields" []
         (Experiment.diff_result a.Chaos.result b.Chaos.result))
     reference parallel
+
+let test_chaos_crash_jobs_equivalence () =
+  let base = Chaos.default_crash_base ~seed:7 in
+  let run ~jobs = Chaos.run_crash ~modes:[ Sdn_sim.Faults.Warm ] ~jobs ~base () in
+  let reference = run ~jobs:1 and parallel = run ~jobs:4 in
+  Alcotest.(check int) "same point count" (List.length reference)
+    (List.length parallel);
+  List.iter2
+    (fun (a : Chaos.crash_point) (b : Chaos.crash_point) ->
+      Alcotest.(check string) "label" a.Chaos.label b.Chaos.label;
+      Alcotest.(check (list string)) "result fields" []
+        (Experiment.diff_result a.Chaos.result b.Chaos.result))
+    reference parallel
+
+let test_chaos_policy_jobs_equivalence () =
+  let base = Chaos.default_policy_base ~seed:7 in
+  let run ~jobs = Chaos.run_policy ~buffers:[ 16; 64 ] ~jobs ~base () in
+  let reference = run ~jobs:1 and parallel = run ~jobs:4 in
+  Alcotest.(check int) "same point count" (List.length reference)
+    (List.length parallel);
+  List.iter2
+    (fun (a : Chaos.policy_point) (b : Chaos.policy_point) ->
+      Alcotest.(check string) "label" a.Chaos.label b.Chaos.label;
+      Alcotest.(check (list string)) "result fields" []
+        (Experiment.diff_result a.Chaos.result b.Chaos.result))
+    reference parallel
+
+(* A parallel-equivalence report names its task by label, so on every
+   default grid the labels must name exactly one task each. *)
+let test_default_grid_labels_distinct () =
+  let distinct what labels =
+    Alcotest.(check int)
+      (what ^ ": labels pairwise distinct")
+      (List.length labels)
+      (List.length (List.sort_uniq String.compare labels))
+  in
+  let base = Chaos.default_base ~seed:7 in
+  distinct "chaos loss"
+    (List.map (fun (p : Chaos.point) -> p.Chaos.label) (Chaos.run ~base ()));
+  let base = Chaos.default_outage_base ~seed:7 in
+  distinct "chaos outage"
+    (List.map
+       (fun (p : Chaos.outage_point) -> p.Chaos.label)
+       (Chaos.run_outage ~base ()));
+  let base = Chaos.default_crash_base ~seed:7 in
+  distinct "chaos crash"
+    (List.map
+       (fun (p : Chaos.crash_point) -> p.Chaos.label)
+       (Chaos.run_crash ~base ()));
+  let base = Chaos.default_policy_base ~seed:7 in
+  distinct "chaos policy"
+    (List.map
+       (fun (p : Chaos.policy_point) -> p.Chaos.label)
+       (Chaos.run_policy ~base ()));
+  distinct "massive shards"
+    (List.map fst
+       (Massive.shard_cells ~flows:1_000_000 ~shards:20 ~event_queue:`Heap
+          ~check:false ~seed:1))
 
 let test_calibration_jobs_equivalence () =
   let reference = Calibration.sanity ~jobs:1 () in
@@ -249,4 +322,12 @@ let suite =
       test_clean_parallel_run_has_no_violations;
     Alcotest.test_case "replay disagreement is a violation" `Quick
       test_note_parallel_replay_disagreement;
+    Alcotest.test_case "chaos crash sweep: jobs 4 = jobs 1" `Slow
+      test_chaos_crash_jobs_equivalence;
+    Alcotest.test_case "chaos policy sweep: jobs 4 = jobs 1" `Slow
+      test_chaos_policy_jobs_equivalence;
+    Alcotest.test_case "default grid labels are distinct" `Slow
+      test_default_grid_labels_distinct;
+    Alcotest.test_case "run_groups keeps group shapes" `Quick
+      test_run_groups_keeps_shapes;
   ]

@@ -185,16 +185,18 @@ let micro_tests () =
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
           let pool =
-            Sdn_switch.Packet_buffer.create engine ~capacity:256 ~expiry:1e9
-              ~reclaim_lag:0.0 ()
+            Sdn_switch.Buffer_pool.create engine ~capacity:256 ~reclaim_lag:0.0
+              ~resend_timeout:1e9 ~max_resends:0 ()
           in
           fun () ->
-            match Sdn_switch.Packet_buffer.alloc pool ~frame:sample_frame with
-            | Some id ->
-                ignore (Sdn_switch.Packet_buffer.take pool id);
+            match Sdn_switch.Buffer_pool.add pool sample_frame with
+            | Sdn_switch.Buffer_pool.First id ->
+                ignore (Sdn_switch.Buffer_pool.take pool id);
                 (* Drain the engine so reclaim events do not pile up. *)
                 Sdn_sim.Engine.run engine
-            | None -> ()));
+            | Sdn_switch.Buffer_pool.Appended _ | Sdn_switch.Buffer_pool.No_space
+              ->
+                ()));
     Test.make ~name:"buf-policy/dt-admit-release"
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
@@ -229,19 +231,17 @@ let micro_tests () =
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
           let pool =
-            Sdn_switch.Flow_buffer.create engine ~capacity:256 ~reclaim_lag:0.0
-              ~resend_timeout:1e9 ~max_resends:0
-              ~on_resend:(fun ~buffer_id:_ ~key:_ ~first_frame:_ -> ())
-              ()
+            Sdn_switch.Buffer_pool.create engine ~capacity:256 ~reclaim_lag:0.0
+              ~resend_timeout:1e9 ~max_resends:0 ()
           in
           let key = Option.get (Sdn_net.Packet.flow_key sample_packet) in
           fun () ->
-            match Sdn_switch.Flow_buffer.add pool ~key ~frame:sample_frame with
-            | Sdn_switch.Flow_buffer.First id ->
-                ignore (Sdn_switch.Flow_buffer.add pool ~key ~frame:sample_frame);
-                ignore (Sdn_switch.Flow_buffer.take_all pool id);
+            match Sdn_switch.Buffer_pool.add pool ~key sample_frame with
+            | Sdn_switch.Buffer_pool.First id ->
+                ignore (Sdn_switch.Buffer_pool.add pool ~key sample_frame);
+                ignore (Sdn_switch.Buffer_pool.take pool id);
                 Sdn_sim.Engine.run engine
-            | Sdn_switch.Flow_buffer.Appended _ | Sdn_switch.Flow_buffer.No_space
+            | Sdn_switch.Buffer_pool.Appended _ | Sdn_switch.Buffer_pool.No_space
               ->
                 ()));
     Test.make ~name:"engine/schedule-run-event"
@@ -360,8 +360,8 @@ let micro_tests () =
       (Staged.stage
          (let engine = Sdn_sim.Engine.create () in
           let pool =
-            Sdn_switch.Packet_buffer.create engine ~capacity:32 ~expiry:1e9
-              ~reclaim_lag:0.0 ()
+            Sdn_switch.Buffer_pool.create engine ~capacity:32 ~reclaim_lag:0.0
+              ~resend_timeout:1e9 ~max_resends:0 ()
           in
           let table = Sdn_switch.Flow_table.create ~capacity:64 () in
           let mods =
@@ -380,13 +380,12 @@ let micro_tests () =
           fun () ->
             List.iter
               (fun fm ->
-                ignore
-                  (Sdn_switch.Packet_buffer.alloc pool ~frame:sample_frame);
+                ignore (Sdn_switch.Buffer_pool.add pool sample_frame);
                 ignore
                   (Sdn_switch.Flow_table.insert table
                      (Sdn_switch.Flow_entry.of_flow_mod fm ~now:0.0)))
               mods;
-            ignore (Sdn_switch.Packet_buffer.wipe pool);
+            ignore (Sdn_switch.Buffer_pool.wipe pool);
             ignore (Sdn_switch.Flow_table.clear table)));
     Test.make ~name:"crash/reconcile-flow-stats-64"
       (Staged.stage

@@ -105,8 +105,8 @@ type t = {
   userspace : Cpu.t;
   bus : (unit -> unit) Link.t option ref;
   table : Flow_table.t;
-  mutable pkt_pool : Packet_buffer.t option;
-  mutable flow_pool : Flow_buffer.t option;
+  mutable pkt_pool : Buffer_pool.t option;
+  mutable flow_pool : Buffer_pool.t option;
   mutable shared_pool : Buf_policy.t option;
   ports : (int, Bytes.t Link.t) Hashtbl.t;
   port_schedulers : (int, Egress_queue.t) Hashtbl.t;
@@ -134,8 +134,6 @@ let fresh_xid t =
     (if Int32.equal t.next_xid Int32.max_int then 1l else Int32.add t.next_xid 1l);
   xid
 
-let pkt_pool_name t = t.name ^ "/pkt_pool"
-let flow_pool_name t = t.name ^ "/flow_pool"
 let shared_pool_name t = t.name ^ "/shared"
 
 (* The switch-wide shared buffer pool, created on first demand when a
@@ -167,6 +165,12 @@ let note_pkt_in t ~pool ~id ~resend =
         ~id ~resend
   | None -> ()
 
+(* The pool serving the current mechanism, once created. *)
+let active_pool t =
+  match t.mechanism with
+  | Flow_granularity -> t.flow_pool
+  | Packet_granularity | No_buffer -> t.pkt_pool
+
 let make_pkt_pool t =
   let policy =
     match ensure_shared_pool t with
@@ -186,9 +190,12 @@ let make_pkt_pool t =
     | Some _ ->
         Int.min 0xFFFF (t.config.buffer_capacity + t.config.shared_headroom)
   in
-  Packet_buffer.create t.engine ?check:t.check ?policy
-    ~pool_name:(pkt_pool_name t) ~capacity ~expiry:t.config.buffer_expiry
-    ~reclaim_lag:t.config.reclaim_lag ()
+  (* A packet-granularity unit is a one-frame chain whose timer fires
+     once, at expiry, and drops it. *)
+  Buffer_pool.create t.engine ?check:t.check ?policy
+    ~pool_name:(t.name ^ "/pkt_pool") ~capacity
+    ~reclaim_lag:t.config.reclaim_lag ~resend_timeout:t.config.buffer_expiry
+    ~max_resends:0 ()
 
 (* The flow pool's resend callback needs the switch, so it is created
    lazily once [t] exists. *)
@@ -196,18 +203,19 @@ let rec ensure_flow_pool t =
   match t.flow_pool with
   | Some pool -> pool
   | None ->
+      let pool_name = t.name ^ "/flow_pool" in
       let pool =
-        Flow_buffer.create t.engine ?check:t.check
-          ~pool_name:(flow_pool_name t) ~capacity:t.config.buffer_capacity
+        Buffer_pool.create t.engine ?check:t.check ~pool_name
+          ~capacity:t.config.buffer_capacity
           ~reclaim_lag:t.config.reclaim_lag
           ~resend_timeout:t.config.resend_timeout
           ~resend_multiplier:t.config.resend_multiplier
           ~resend_cap:t.config.resend_cap
           ~resend_jitter:t.config.resend_jitter ~rng:t.resend_rng
           ~max_resends:t.config.max_resends
-          ~on_resend:(fun ~buffer_id ~key:_ ~first_frame ->
+          ~on_resend:(fun ~buffer_id ~first_frame ->
             t.c.pkt_in_resends <- t.c.pkt_in_resends + 1;
-            note_pkt_in t ~pool:(flow_pool_name t) ~id:buffer_id ~resend:true;
+            note_pkt_in t ~pool:pool_name ~id:buffer_id ~resend:true;
             (* The repeated request retraces the miss path: bus, then
                userspace, then the control link (Algorithm 1 line 13). *)
             send_pkt_in t ~buffer_id ~frame:first_frame ~in_port:1
@@ -366,14 +374,14 @@ let shed_overload t =
 let miss_packet_granularity t ~in_port frame =
   let pool = ensure_pkt_pool t in
   if
-    overload_guard_active t ~in_use:(Packet_buffer.in_use pool)
-      ~capacity:(Packet_buffer.capacity pool)
+    overload_guard_active t ~in_use:(Buffer_pool.units_in_use pool)
+      ~capacity:(Buffer_pool.capacity pool)
   then shed_overload t
   else
-  match Packet_buffer.alloc pool ~frame with
-  | None -> miss_no_buffer t ~in_port frame
-  | Some buffer_id ->
-      note_pkt_in t ~pool:(pkt_pool_name t) ~id:buffer_id ~resend:false;
+  match Buffer_pool.add pool frame with
+  | Buffer_pool.No_space -> miss_no_buffer t ~in_port frame
+  | Buffer_pool.First buffer_id | Buffer_pool.Appended buffer_id ->
+      note_pkt_in t ~pool:(Buffer_pool.name pool) ~id:buffer_id ~resend:false;
       send_pkt_in t ~buffer_id ~frame ~in_port
         ~truncate:(Some t.miss_send_len)
         ~extra_cost:t.costs.Costs.buffer_alloc_cost
@@ -387,21 +395,22 @@ let miss_flow_granularity t ~in_port pkt frame =
   | Some key -> (
       let pool = ensure_flow_pool t in
       if
-        overload_guard_active t ~in_use:(Flow_buffer.units_in_use pool)
-          ~capacity:(Flow_buffer.capacity pool)
+        overload_guard_active t ~in_use:(Buffer_pool.units_in_use pool)
+          ~capacity:(Buffer_pool.capacity pool)
         (* Appends ride an existing unit: admitting them favours
            completing in-flight chains over starting new ones. *)
-        && not (Flow_buffer.has_chain pool ~key)
+        && not (Buffer_pool.has_chain pool ~key)
       then shed_overload t
       else
-      match Flow_buffer.add pool ~key ~frame with
-      | Flow_buffer.No_space -> miss_no_buffer t ~in_port frame
-      | Flow_buffer.First buffer_id ->
-          note_pkt_in t ~pool:(flow_pool_name t) ~id:buffer_id ~resend:false;
+      match Buffer_pool.add pool ~key frame with
+      | Buffer_pool.No_space -> miss_no_buffer t ~in_port frame
+      | Buffer_pool.First buffer_id ->
+          note_pkt_in t ~pool:(Buffer_pool.name pool) ~id:buffer_id
+            ~resend:false;
           send_pkt_in t ~buffer_id ~frame ~in_port
             ~truncate:(Some t.miss_send_len)
             ~extra_cost:t.costs.Costs.flow_buffer_first_cost
-      | Flow_buffer.Appended _ ->
+      | Buffer_pool.Appended _ ->
           (* Algorithm 1 line 11: buffered silently, but the chaining
              work still occupies the datapath CPU, which is what delays
              PACKET_IN generation in the paper's Fig. 12(a). *)
@@ -446,10 +455,10 @@ let miss_fail_secure t ~in_port:_ pkt frame =
       | None -> drop ()
       | Some key -> (
           let pool = ensure_flow_pool t in
-          if not (Flow_buffer.is_frozen pool) then Flow_buffer.freeze pool;
-          match Flow_buffer.add pool ~key ~frame with
-          | Flow_buffer.No_space -> drop ()
-          | Flow_buffer.First _ | Flow_buffer.Appended _ -> ()))
+          if not (Buffer_pool.is_frozen pool) then Buffer_pool.freeze pool;
+          match Buffer_pool.add pool ~key frame with
+          | Buffer_pool.No_space -> drop ()
+          | Buffer_pool.First _ | Buffer_pool.Appended _ -> ()))
   | Packet_granularity | No_buffer -> drop ()
 
 let handle_miss t ~in_port pkt frame =
@@ -520,29 +529,15 @@ let release_chain t ~actions frames =
 let apply_buffer_release t ~buffer_id ~actions ~offending =
   if Int32.equal buffer_id Of_wire.no_buffer then ()
   else begin
-    let released =
-      match t.mechanism with
-      | Packet_granularity | No_buffer -> (
-          match t.pkt_pool with
-          | None -> Error Of_error.Bad_request_code.buffer_empty
-          | Some pool -> (
-              match Packet_buffer.take pool buffer_id with
-              | Packet_buffer.Taken frame -> Ok [ frame ]
-              | Packet_buffer.Unknown_id ->
-                  Error Of_error.Bad_request_code.buffer_unknown))
-      | Flow_granularity -> (
-          match t.flow_pool with
-          | None -> Error Of_error.Bad_request_code.buffer_empty
-          | Some pool -> (
-              match Flow_buffer.take_all pool buffer_id with
-              | Flow_buffer.Taken frames -> Ok frames
-              | Flow_buffer.Unknown_id ->
-                  Error Of_error.Bad_request_code.buffer_unknown))
+    let fail code =
+      send_error t ~error_type:Of_error.Bad_request ~code ~offending
     in
-    match released with
-    | Ok frames -> release_chain t ~actions frames
-    | Error code ->
-        send_error t ~error_type:Of_error.Bad_request ~code ~offending
+    match active_pool t with
+    | None -> fail Of_error.Bad_request_code.buffer_empty
+    | Some pool -> (
+        match Buffer_pool.take pool buffer_id with
+        | Buffer_pool.Taken frames -> release_chain t ~actions frames
+        | Buffer_pool.Unknown_id -> fail Of_error.Bad_request_code.buffer_unknown)
   end
 
 let handle_flow_mod t (fm : Of_flow_mod.t) ~offending =
@@ -610,24 +605,16 @@ let handle_packet_out t (po : Of_packet_out.t) ~offending =
           ~actions:po.Of_packet_out.actions ~offending)
 
 let buffer_stats t =
-  match (t.mechanism, t.pkt_pool, t.flow_pool) with
-  | Flow_granularity, _, Some pool ->
+  match active_pool t with
+  | Some pool ->
       {
-        Of_ext.units_in_use = Flow_buffer.units_in_use pool;
-        units_total = Flow_buffer.capacity pool;
-        flows_buffered = Flow_buffer.flows_buffered pool;
-        packets_buffered = Flow_buffer.packets_buffered pool;
-        resends = Flow_buffer.resends pool;
+        Of_ext.units_in_use = Buffer_pool.units_in_use pool;
+        units_total = Buffer_pool.capacity pool;
+        flows_buffered = Buffer_pool.flows_buffered pool;
+        packets_buffered = Buffer_pool.packets_buffered pool;
+        resends = Buffer_pool.resends pool;
       }
-  | (Packet_granularity | No_buffer), Some pool, _ ->
-      {
-        Of_ext.units_in_use = Packet_buffer.in_use pool;
-        units_total = Packet_buffer.capacity pool;
-        flows_buffered = 0;
-        packets_buffered = Packet_buffer.in_use pool;
-        resends = 0;
-      }
-  | Flow_granularity, _, None | (Packet_granularity | No_buffer), None, _ ->
+  | None ->
       {
         Of_ext.units_in_use = 0;
         units_total = t.config.buffer_capacity;
@@ -642,7 +629,7 @@ let handle_vendor t ~xid (v : Of_ext.t) =
       t.mechanism <- Flow_granularity;
       (* The controller dictates the re-request policy; it applies to
          the live pool from the next timer arming. *)
-      Flow_buffer.set_backoff (ensure_flow_pool t)
+      Buffer_pool.set_backoff (ensure_flow_pool t)
         ~resend_timeout:b.Of_ext.timeout
         ~resend_multiplier:b.Of_ext.multiplier ~resend_cap:b.Of_ext.cap
         ~max_resends:b.Of_ext.max_resends
@@ -804,7 +791,7 @@ let handle_of_message t buf =
    standalone forwarding from an empty learning table. *)
 let on_session_down t =
   (match t.mechanism with
-  | Flow_granularity -> Flow_buffer.freeze (ensure_flow_pool t)
+  | Flow_granularity -> Buffer_pool.freeze (ensure_flow_pool t)
   | Packet_granularity | No_buffer -> ());
   Hashtbl.reset t.standalone_table
 
@@ -813,7 +800,7 @@ let on_session_down t =
    expire. *)
 let on_session_restore t =
   match t.flow_pool with
-  | Some pool when Flow_buffer.is_frozen pool -> Flow_buffer.resume pool
+  | Some pool when Buffer_pool.is_frozen pool -> Buffer_pool.resume pool
   | Some _ | None -> ()
 
 (* ---- Crash–restart fault injection ---- *)
@@ -833,8 +820,8 @@ let crash t ~mode =
            the session was already down they may not be yet) and replay
            through the normal resume path on reconnection. *)
         match t.flow_pool with
-        | Some pool when not (Flow_buffer.is_frozen pool) ->
-            Flow_buffer.freeze pool
+        | Some pool when not (Buffer_pool.is_frozen pool) ->
+            Buffer_pool.freeze pool
         | Some _ | None -> ())
     | Faults.Cold ->
         (* Full state loss. The pools report every held chain as
@@ -842,35 +829,21 @@ let crash t ~mode =
            confirms nothing survived. Flow table, learned MACs and the
            vendor-negotiated configuration all reset to power-on
            defaults; the controller's resync handshake re-pushes them. *)
-        let wiped = ref 0 in
-        (match t.pkt_pool with
-        | Some pool -> wiped := !wiped + Packet_buffer.wipe pool
-        | None -> ());
-        (match t.flow_pool with
-        | Some pool ->
-            let _chains, packets = Flow_buffer.wipe pool in
-            wiped := !wiped + packets
-        | None -> ());
-        t.c.crash_wiped_packets <- t.c.crash_wiped_packets + !wiped;
+        List.iter
+          (fun pool ->
+            t.c.crash_wiped_packets <-
+              t.c.crash_wiped_packets + Buffer_pool.wipe pool;
+            match t.check with
+            | Some check ->
+                Sdn_check.Check.note_crash_wipe check
+                  ~time:(Engine.now t.engine) ~pool:(Buffer_pool.name pool)
+            | None -> ())
+          (List.filter_map Fun.id [ t.pkt_pool; t.flow_pool ]);
         ignore (Flow_table.clear t.table);
         t.mechanism <-
           (if t.config.buffer_capacity = 0 then No_buffer
            else t.config.mechanism);
-        t.miss_send_len <- t.config.miss_send_len;
-        (match t.check with
-        | Some check ->
-            let now = Engine.now t.engine in
-            (match t.pkt_pool with
-            | Some _ ->
-                Sdn_check.Check.note_crash_wipe check ~time:now
-                  ~pool:(pkt_pool_name t)
-            | None -> ());
-            (match t.flow_pool with
-            | Some _ ->
-                Sdn_check.Check.note_crash_wipe check ~time:now
-                  ~pool:(flow_pool_name t)
-            | None -> ())
-        | None -> ())
+        t.miss_send_len <- t.config.miss_send_len
   end
 
 let restart t =
@@ -1083,40 +1056,32 @@ let counters t = { t.c with frames_received = t.c.frames_received }
 
 let session t = the_session t
 
-let buffer_units_in_use t =
-  match (t.mechanism, t.pkt_pool, t.flow_pool) with
-  | Flow_granularity, _, Some pool -> Flow_buffer.units_in_use pool
-  | (Packet_granularity | No_buffer), Some pool, _ -> Packet_buffer.in_use pool
-  | _, _, _ -> 0
+(* Active-pool statistics read [none] until the pool exists. *)
+let of_active_pool t ~none stat =
+  match active_pool t with Some pool -> stat pool | None -> none
+
+let buffer_units_in_use t = of_active_pool t ~none:0 Buffer_pool.units_in_use
 
 let buffer_mean_in_use t ~until =
-  match (t.mechanism, t.pkt_pool, t.flow_pool) with
-  | Flow_granularity, _, Some pool -> Flow_buffer.mean_units_in_use pool ~until
-  | (Packet_granularity | No_buffer), Some pool, _ ->
-      Packet_buffer.mean_in_use pool ~until
-  | _, _, _ -> 0.0
+  of_active_pool t ~none:0.0 (Buffer_pool.mean_units_in_use ~until)
 
-let buffer_max_in_use t =
-  match (t.mechanism, t.pkt_pool, t.flow_pool) with
-  | Flow_granularity, _, Some pool -> Flow_buffer.max_units_in_use pool
-  | (Packet_granularity | No_buffer), Some pool, _ -> Packet_buffer.max_in_use pool
-  | _, _, _ -> 0
+let buffer_max_in_use t = of_active_pool t ~none:0 Buffer_pool.max_units_in_use
 
 (* Flow-pool statistics read [none] until the pool exists. *)
 let of_flow_pool t ~none stat =
   match t.flow_pool with Some pool -> stat pool | None -> none
 
-let flows_abandoned t = of_flow_pool t ~none:0 Flow_buffer.abandoned_flows
-let flows_recovered t = of_flow_pool t ~none:0 Flow_buffer.recovered_flows
+let flows_abandoned t = of_flow_pool t ~none:0 Buffer_pool.abandoned_flows
+let flows_recovered t = of_flow_pool t ~none:0 Buffer_pool.recovered_flows
 
 let recovery_delays t =
-  of_flow_pool t ~none:(Stats.create ()) Flow_buffer.recovery_delays
+  of_flow_pool t ~none:(Stats.create ()) Buffer_pool.recovery_delays
 
-let chains_frozen t = of_flow_pool t ~none:0 Flow_buffer.chains_frozen
-let chains_resumed t = of_flow_pool t ~none:0 Flow_buffer.chains_resumed
+let chains_frozen t = of_flow_pool t ~none:0 Buffer_pool.chains_frozen
+let chains_resumed t = of_flow_pool t ~none:0 Buffer_pool.chains_resumed
 
 let chains_expired_on_resume t =
-  of_flow_pool t ~none:0 Flow_buffer.expired_on_resume
+  of_flow_pool t ~none:0 Buffer_pool.expired_on_resume
 
 let cpu_busy_core_seconds t =
   Cpu.busy_core_seconds t.kernel +. Cpu.busy_core_seconds t.userspace

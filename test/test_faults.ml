@@ -241,10 +241,10 @@ let test_backoff_schedule () =
   let engine = Engine.create () in
   let resend_times = ref [] in
   let pool =
-    Flow_buffer.create engine ~capacity:4 ~reclaim_lag:0.0
+    Buffer_pool.create engine ~capacity:4 ~reclaim_lag:0.0
       ~resend_timeout:0.01 ~resend_multiplier:2.0 ~resend_cap:0.04
       ~max_resends:4
-      ~on_resend:(fun ~buffer_id:_ ~key:_ ~first_frame:_ ->
+      ~on_resend:(fun ~buffer_id:_ ~first_frame:_ ->
         resend_times := Engine.now engine :: !resend_times)
       ()
   in
@@ -258,8 +258,8 @@ let test_backoff_schedule () =
          ~payload_fill:(fun _ -> ()))
   in
   let key = Option.get (Sdn_net.Packet.peek_flow_key frame) in
-  (match Flow_buffer.add pool ~key ~frame with
-  | Flow_buffer.First _ -> ()
+  (match Buffer_pool.add pool ~key frame with
+  | Buffer_pool.First _ -> ()
   | _ -> Alcotest.fail "expected First");
   Engine.run ~until:1.0 engine;
   let times = List.rev !resend_times in
@@ -271,8 +271,8 @@ let test_backoff_schedule () =
         expected got)
     [ 0.01; 0.03; 0.07; 0.11 ] times;
   Alcotest.(check int) "abandoned after exhaustion" 1
-    (Flow_buffer.abandoned_flows pool);
-  Alcotest.(check int) "resend counter" 4 (Flow_buffer.resends pool)
+    (Buffer_pool.abandoned_flows pool);
+  Alcotest.(check int) "resend counter" 4 (Buffer_pool.resends pool)
 
 (* Jittered backoff stays within the [1-j, 1+j] envelope of the
    deterministic schedule and is reproducible for a fixed seed. *)
@@ -282,10 +282,10 @@ let test_backoff_jitter_envelope () =
     let engine = Engine.create () in
     let resend_times = ref [] in
     let pool =
-      Flow_buffer.create engine ~capacity:4 ~reclaim_lag:0.0
+      Buffer_pool.create engine ~capacity:4 ~reclaim_lag:0.0
         ~resend_timeout:0.01 ~resend_multiplier:2.0 ~resend_cap:0.04
         ~resend_jitter:0.2 ~rng:(Rng.of_int seed) ~max_resends:4
-        ~on_resend:(fun ~buffer_id:_ ~key:_ ~first_frame:_ ->
+        ~on_resend:(fun ~buffer_id:_ ~first_frame:_ ->
           resend_times := Engine.now engine :: !resend_times)
         ()
     in
@@ -300,7 +300,7 @@ let test_backoff_jitter_envelope () =
            ~payload_fill:(fun _ -> ()))
     in
     let key = Option.get (Sdn_net.Packet.peek_flow_key frame) in
-    ignore (Flow_buffer.add pool ~key ~frame);
+    ignore (Buffer_pool.add pool ~key frame);
     Engine.run ~until:1.0 engine;
     List.rev !resend_times
   in

@@ -19,8 +19,9 @@ let () =
       ("openflow.codec-fuzz", Test_of_codec_fuzz.suite);
       ("openflow.stream", Test_of_stream.suite);
       ("switch.flow_table", Test_flow_table.suite);
-      ("switch.packet_buffer", Test_packet_buffer.suite);
-      ("switch.flow_buffer", Test_flow_buffer.suite);
+      ("switch.packet_buffer", Test_buffer_pool.packet_suite);
+      ("switch.flow_buffer", Test_buffer_pool.flow_suite);
+      ("switch.buffer_pool", Test_buffer_pool.model_suite);
       ("switch.session", Test_session.suite);
       ("switch.behaviour", Test_switch.suite);
       ("controller", Test_controller.suite);

@@ -290,6 +290,33 @@ let test_table_sweep_expires_rules () =
   Alcotest.(check int) "swept after idle timeout" 0
     (Flow_table.length (Switch.flow_table h.switch))
 
+(* A released unit still waiting out its reclaim lag is in use but
+   holds no packet: the stats reply must not count it as buffered. *)
+let test_stats_reply_excludes_reclaiming () =
+  let config = { Switch.default_config with Switch.reclaim_lag = 0.1 } in
+  let h = make_harness ~config () in
+  Switch.handle_frame h.switch ~in_port:1 (frame ());
+  Engine.run ~until:0.01 h.engine;
+  let p = List.hd (pkt_ins h) in
+  send_of h
+    (Of_codec.Packet_out
+       (Of_packet_out.release ~buffer_id:p.Of_packet_in.buffer_id ~out_port:2));
+  Engine.run ~until:0.02 h.engine;
+  Alcotest.(check int) "released frame egressed" 1 (List.length !(h.egress2));
+  send_of h (Of_codec.Vendor Of_ext.Flow_buffer_stats_request);
+  Engine.run ~until:0.03 h.engine;
+  match
+    List.filter_map
+      (function
+        | _, Of_codec.Vendor (Of_ext.Flow_buffer_stats_reply s) -> Some s
+        | _ -> None)
+      (messages h)
+  with
+  | [ s ] ->
+      Alcotest.(check int) "unit still reclaiming" 1 s.Of_ext.units_in_use;
+      Alcotest.(check int) "no packet buffered" 0 s.Of_ext.packets_buffered
+  | _ -> Alcotest.fail "expected one buffer stats reply"
+
 let suite =
   [
     Alcotest.test_case "no-buffer miss carries full packet" `Quick
@@ -318,4 +345,6 @@ let suite =
     Alcotest.test_case "stats replies" `Quick test_stats_replies;
     Alcotest.test_case "housekeeping sweep expires rules" `Quick
       test_table_sweep_expires_rules;
+    Alcotest.test_case "stats reply excludes reclaiming units" `Quick
+      test_stats_reply_excludes_reclaiming;
   ]

@@ -8,18 +8,14 @@
    the resulting timeline: the observability a deployment would use to
    pick a buffer size (paper, Section IV.G).
 
-   The example wires the topology by hand (instead of using
-   [Sdn_core.Scenario]) so the monitor can share the controller's
-   control channel and decode the replies itself. *)
+   The monitor shares the controller's control channel: the example
+   swaps in an upstream control link that lets it decode the replies
+   itself, and sends its polls down the scenario's own downstream
+   link. *)
 
 open Sdn_sim
-open Sdn_net
 open Sdn_openflow
-
-let mac1 = Mac.of_octets 0x02 0 0 0 0 1
-let mac2 = Mac.of_octets 0x02 0 0 0 0 2
-let host1_ip = Ip.make 10 0 0 1
-let host2_ip = Ip.make 10 0 0 2
+open Sdn_core
 
 type sample = {
   at : float;
@@ -29,25 +25,19 @@ type sample = {
 }
 
 let () =
-  let engine = Engine.create () in
-  let rng = Rng.of_int 13 in
-  let switch =
-    Sdn_switch.Switch.create engine
-      ~config:
-        {
-          Sdn_switch.Switch.default_config with
-          Sdn_switch.Switch.mechanism = Sdn_switch.Switch.Flow_granularity;
-        }
-      ~costs:Sdn_switch.Costs.default ~rng:(Rng.split rng) ()
+  (* The paper's Exp-B at 90 Mbps over the flow-granularity buffer. *)
+  let config =
+    {
+      Config.default with
+      Config.mechanism = Config.Flow_granularity;
+      rate_mbps = 90.0;
+      workload =
+        Config.Exp_b { n_flows = 50; packets_per_flow = 20; concurrent = 5 };
+      seed = 13;
+    }
   in
-  let controller =
-    Sdn_controller.Controller.create engine
-      ~app:
-        (Sdn_controller.Apps.forwarding
-           ~hosts:[ (host1_ip, mac1, 1); (host2_ip, mac2, 2) ]
-           ())
-      ~costs:Sdn_controller.Costs.default ~rng:(Rng.split rng) ()
-  in
+  let sc = Scenario.build config in
+  let engine = sc.Scenario.engine in
   (* Monitor state: it keeps the pending-xid set and assembles a sample
      whenever both replies of a polling epoch have arrived. *)
   let pending = Hashtbl.create 8 in
@@ -74,48 +64,16 @@ let () =
           :: !timeline
     | Ok _ | Error _ -> ()
   in
-  (* Control channel; the monitor sniffs the upstream receiver. *)
-  let to_controller =
-    Link.create engine ~name:"sw->ctrl" ~bandwidth_bps:100e6
-      ~propagation_s:350e-6
-      ~receiver:(fun buf ->
-        monitor_sniff buf;
-        Sdn_controller.Controller.handle_message controller buf)
-      ()
-  in
-  let to_switch =
-    Link.create engine ~name:"ctrl->sw" ~bandwidth_bps:100e6
-      ~propagation_s:350e-6
-      ~receiver:(fun buf -> Sdn_switch.Switch.handle_of_message switch buf)
-      ()
-  in
-  (* Data path. *)
-  let received = ref 0 in
-  let to_host2 =
-    Link.create engine ~name:"sw->host2" ~bandwidth_bps:100e6
-      ~propagation_s:30e-6
-      ~receiver:(fun (_ : Bytes.t) -> incr received)
-      ()
-  in
-  let to_host1 =
-    Link.create engine ~name:"sw->host1" ~bandwidth_bps:100e6
-      ~propagation_s:30e-6
-      ~receiver:(fun (_ : Bytes.t) -> ())
-      ()
-  in
-  let host1_link =
-    Link.create engine ~name:"host1->sw" ~bandwidth_bps:100e6
-      ~propagation_s:30e-6
-      ~receiver:(fun frame -> Sdn_switch.Switch.handle_frame switch ~in_port:1 frame)
-      ()
-  in
-  Sdn_switch.Switch.set_port switch ~port:1 to_host1;
-  Sdn_switch.Switch.set_port switch ~port:2 to_host2;
-  Sdn_switch.Switch.set_controller_link switch to_controller;
-  Sdn_controller.Controller.set_switch_link controller to_switch;
-  Sdn_switch.Switch.start switch;
-  Sdn_controller.Controller.start controller
-    ~enable_flow_buffer:(Sdn_openflow.Of_ext.default_backoff ~timeout:0.05) ();
+  (* The upstream control link, with the monitor sniffing its
+     receiver. *)
+  Sdn_switch.Switch.set_controller_link sc.Scenario.switch
+    (Link.create engine ~name:"switch->controller"
+       ~bandwidth_bps:Calibration.control_link_bandwidth_bps
+       ~propagation_s:Calibration.control_link_latency
+       ~receiver:(fun buf ->
+         monitor_sniff buf;
+         Sdn_controller.Controller.handle_message sc.Scenario.controller buf)
+       ());
   (* The polling loop: two real OpenFlow requests every 50 ms. *)
   let next_xid = ref 0x7000_0000l in
   let poll () =
@@ -123,7 +81,7 @@ let () =
       next_xid := Int32.add !next_xid 1l;
       Hashtbl.replace pending !next_xid ();
       let encoded = Of_codec.encode ~xid:!next_xid msg in
-      Link.send to_switch ~size:(Bytes.length encoded) encoded
+      Link.send sc.Scenario.to_switch ~size:(Bytes.length encoded) encoded
     in
     send
       (Of_codec.Stats_request
@@ -136,15 +94,9 @@ let () =
     send (Of_codec.Vendor Of_ext.Flow_buffer_stats_request)
   in
   Sdn_measure.Sampler.every engine ~dt:0.05 ~until:0.35 (fun ~time:_ -> poll ());
-  (* Traffic: the paper's Exp-B at 90 Mbps. *)
-  let injections =
-    Sdn_traffic.Patterns.exp_b ~rng:(Rng.split rng) ~start:0.05 ~n_flows:50
-      ~packets_per_flow:20 ~concurrent:5 ~rate_mbps:90.0 ~frame_size:1000 ()
-  in
   Sdn_traffic.Pktgen.schedule engine
-    ~inject:(fun ~in_port:_ frame ->
-      Link.send host1_link ~size:(Bytes.length frame) frame)
-    injections;
+    ~inject:(fun ~in_port frame -> Scenario.inject sc ~in_port frame)
+    (Experiment.injections_of config sc.Scenario.traffic_rng);
   Engine.run ~until:0.6 engine;
   Printf.printf
     "Exp-B at 90 Mbps, flow-granularity buffer; the monitor polled the\n\
@@ -172,4 +124,4 @@ let () =
     "\n%d of 1000 frames delivered to Host2. The pool breathes with each\n\
      cross-sequence batch: units spike as five new flows' first packets\n\
      arrive, then drain as releases land and installed rules take over.\n"
-    !received
+    sc.Scenario.host2_received

@@ -71,7 +71,7 @@ val set_switch_link : t -> Bytes.t Link.t -> unit
 
 val add_switch : t -> switch:int -> Bytes.t Link.t -> unit
 (** Register another switch session — one controller can manage a
-    whole topology (e.g. the chain scenario). *)
+    whole topology (e.g. an n-switch chain). *)
 
 val switch_count : t -> int
 

@@ -1,47 +1,13 @@
-(** Multi-switch extension: a linear chain of switches under one
-    controller.
-
-    {v
-      Host1 -- [sw1] -- [sw2] -- ... -- [swN] -- Host2
-                 \        |              /
-                  +--- control channels ---+
-                           |
-                       Controller
-    v}
+(** Multi-switch extension: the configured workload run across a
+    linear chain of switches under one controller, built by
+    {!Scenario.build} with [~n_switches].
 
     The paper's testbed has a single switch, but its motivation is data
     center fabrics where a new flow crosses several hops — and every
     hop's table misses, so flow-setup cost (and the buffer's savings)
     multiply per hop. Each switch has its own control channel to the
     shared controller; the reactive forwarding rules are installed
-    hop by hop as the first packet progresses.
-
-    Port convention: port 1 faces Host1 (upstream), port 2 faces Host2
-    (downstream), on every switch. *)
-
-open Sdn_sim
-open Sdn_measure
-
-type t = {
-  engine : Engine.t;
-  switches : Sdn_switch.Switch.t array;
-  controller : Sdn_controller.Controller.t;
-  capture : Capture.t;  (** aggregated over every control channel *)
-  delay : Delay.t;
-      (** data taps at Host1's ingress (first switch) and the last
-          switch's egress; control taps on every channel *)
-  host1_link : Bytes.t Link.t;
-  traffic_rng : Rng.t;
-  mutable host2_received : int;
-}
-
-val build : Config.t -> n_switches:int -> t
-(** Raises [Invalid_argument] when [n_switches < 1]. *)
-
-val inject : t -> Bytes.t -> unit
-(** Send a frame from Host1 toward Host2. *)
-
-val run_until_quiet : ?grace:float -> ?min_time:float -> t -> unit
+    hop by hop as the first packet progresses. *)
 
 type result = {
   n_switches : int;
@@ -50,10 +16,12 @@ type result = {
   ctrl_load_down_mbps : float;
   pkt_ins : int;  (** summed over every switch *)
   packets_in : int;
-  packets_out : int;
+  packets_out : int;  (** frames delivered to Host2 *)
 }
 
 val run : Config.t -> n_switches:int -> result
-(** Run the configured Exp-A/Exp-B/burst workload across the chain. *)
+(** Run the configured workload across the chain, scheduling its
+    traffic as {!Experiment.run} does; every {!Config.t} field applies
+    to every switch. Raises [Invalid_argument] when [n_switches < 1]. *)
 
 val pp_result : Format.formatter -> result -> unit

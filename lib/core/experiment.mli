@@ -34,7 +34,7 @@ type result = {
   pkt_ins : int;
   pkt_in_resends : int;
   full_packet_fallbacks : int;
-  ctrl_msgs_lost : int;  (** control messages dropped by the loss model *)
+  ctrl_msgs_lost : int;  (** control messages dropped by the fault plan *)
   controller_cpu_pct : float;  (** percent of one core; can exceed 100 *)
   switch_cpu_pct : float;
   setup_delay : summary;  (** seconds *)

@@ -66,10 +66,20 @@ let test_flow_granularity_in_chain () =
     true
     (r.Chain.pkt_ins < 100)
 
+let test_one_switch_chain_is_the_scenario () =
+  let cfg = config () in
+  let c = Chain.run cfg ~n_switches:1 in
+  let e = Experiment.run cfg in
+  Alcotest.(check int) "same requests" e.Experiment.pkt_ins c.Chain.pkt_ins;
+  Alcotest.(check bool) "bit-identical setup mean" true
+    (Int64.equal
+       (Int64.bits_of_float e.Experiment.setup_delay.Experiment.mean)
+       (Int64.bits_of_float c.Chain.setup_delay.Experiment.mean))
+
 let test_rejects_empty_chain () =
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Chain.build (config ()) ~n_switches:0);
+       ignore (Scenario.build ~n_switches:0 (config ()));
        false
      with Invalid_argument _ -> true)
 
@@ -97,7 +107,7 @@ let test_chain_switches_carry_config () =
       buf_policy = Some Sdn_switch.Buf_policy.Sharing;
     }
   in
-  let chain = Chain.build cfg ~n_switches:2 in
+  let sc = Scenario.build ~n_switches:2 cfg in
   Array.iteri
     (fun i sw ->
       let c = Sdn_switch.Switch.config sw in
@@ -120,7 +130,61 @@ let test_chain_switches_carry_config () =
         c.Sdn_switch.Switch.overload_watermark;
       Alcotest.(check bool) (what "buf_policy") true
         (c.Sdn_switch.Switch.buf_policy = Some Sdn_switch.Buf_policy.Sharing))
-    chain.Chain.switches
+    sc.Scenario.switches
+
+(* The chain is the scenario: the fault plan's outage and crash
+   schedule and the invariant checker reach every switch of it. *)
+let run_chain cfg ~n_switches =
+  let sc = Scenario.build ~n_switches cfg in
+  let injections = Experiment.injections_of cfg sc.Scenario.traffic_rng in
+  Sdn_traffic.Pktgen.schedule sc.Scenario.engine
+    ~inject:(fun ~in_port frame -> Scenario.inject sc ~in_port frame)
+    injections;
+  Scenario.run_until_quiet
+    ~min_time:(Sdn_traffic.Pktgen.stats_of injections).Sdn_traffic.Pktgen.last
+    sc;
+  sc
+
+let test_chain_honours_faults_and_checker () =
+  let base =
+    {
+      (config ~mechanism:Config.Flow_granularity ()) with
+      Config.workload =
+        Config.Exp_b { n_flows = 40; packets_per_flow = 20; concurrent = 5 };
+      rate_mbps = 40.0;
+      check = true;
+    }
+  in
+  let faults s = Result.get_ok (Sdn_sim.Faults.spec_of_string s) in
+  List.iter
+    (fun n_switches ->
+      List.iter
+        (fun (what, cfg) ->
+          let sc = run_chain cfg ~n_switches in
+          let name field = Printf.sprintf "%d switches, %s: %s" n_switches what field in
+          let check = Option.get sc.Scenario.check in
+          Alcotest.(check string) (name "no violations") ""
+            (Sdn_check.Check.report check);
+          Alcotest.(check int) (name "every packet delivered")
+            (Sdn_measure.Delay.packets_in sc.Scenario.delay)
+            sc.Scenario.host2_received;
+          if what = "outage" then
+            Alcotest.(check bool) (name "upstream messages lost") true
+              (Sdn_sim.Link.messages_lost sc.Scenario.to_controller > 0)
+          else
+            Alcotest.(check int) (name "every session resynced") n_switches
+              (Sdn_controller.Controller.counters sc.Scenario.controller)
+                .Sdn_controller.Controller.resyncs)
+        [
+          ("outage", { base with Config.faults = faults "outage=0.1-0.15" });
+          ( "controller crash",
+            {
+              base with
+              Config.faults = faults "crash=ctl:0.1:0.05:warm";
+              echo_interval = 0.02;
+            } );
+        ])
+    [ 2; 3 ]
 
 let suite =
   [
@@ -134,8 +198,12 @@ let suite =
       test_buffer_beats_no_buffer_across_hops;
     Alcotest.test_case "flow granularity in a chain" `Quick
       test_flow_granularity_in_chain;
+    Alcotest.test_case "one-switch chain is the scenario" `Quick
+      test_one_switch_chain_is_the_scenario;
     Alcotest.test_case "rejects empty chain" `Quick test_rejects_empty_chain;
     Alcotest.test_case "chain runs are reproducible" `Quick test_chain_reproducible;
     Alcotest.test_case "chain switches carry every config field" `Quick
       test_chain_switches_carry_config;
+    Alcotest.test_case "chain honours the fault plan and the checker" `Quick
+      test_chain_honours_faults_and_checker;
   ]

@@ -148,9 +148,14 @@ let test_flow_removed_on_expiry () =
 let test_link_loss_statistics () =
   let engine = Engine.create () in
   let received = ref 0 in
+  let faults =
+    Faults.create
+      ~spec:{ Faults.none with Faults.loss_rate = 0.3 }
+      ~rng:(Rng.of_int 5) ()
+  in
   let link =
     Link.create engine ~name:"lossy" ~bandwidth_bps:1e9 ~propagation_s:0.0
-      ~loss:(0.3, Rng.of_int 5)
+      ~faults
       ~receiver:(fun (_ : int) -> incr received)
       ()
   in
@@ -165,24 +170,12 @@ let test_link_loss_statistics () =
     true
     (lost > 230 && lost < 370)
 
-let test_link_loss_rate_validation () =
-  let engine = Engine.create () in
-  Alcotest.(check bool) "rejects rate > 1" true
-    (try
-       ignore
-         (Link.create engine ~name:"bad" ~bandwidth_bps:1e9 ~propagation_s:0.0
-            ~loss:(1.5, Rng.of_int 1)
-            ~receiver:(fun (_ : unit) -> ())
-            ());
-       false
-     with Invalid_argument _ -> true)
-
 let test_zero_loss_is_lossless () =
   let engine = Engine.create () in
   let received = ref 0 in
   let link =
     Link.create engine ~name:"clean" ~bandwidth_bps:1e9 ~propagation_s:0.0
-      ~loss:(0.0, Rng.of_int 5)
+      ~faults:(Faults.create ~rng:(Rng.of_int 5) ())
       ~receiver:(fun (_ : int) -> incr received)
       ()
   in
@@ -265,7 +258,6 @@ let suite =
     Alcotest.test_case "FLOW_REMOVED on expiry (flagged rules only)" `Quick
       test_flow_removed_on_expiry;
     Alcotest.test_case "link loss statistics" `Quick test_link_loss_statistics;
-    Alcotest.test_case "loss rate validation" `Quick test_link_loss_rate_validation;
     Alcotest.test_case "zero loss delivers everything" `Quick
       test_zero_loss_is_lossless;
     Alcotest.test_case "flow granularity survives control loss" `Quick

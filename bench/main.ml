@@ -260,10 +260,10 @@ let micro_tests () =
     Test.make ~name:"flow-table/lookup-uncached-1k-mixed"
       (Staged.stage
          (let table = populated_table ~wildcards:32 968 in
+          let headers = Sdn_net.Packet.headers_of hit_packet in
           fun () ->
             ignore
-              (Sdn_switch.Flow_table.lookup_uncached table ~in_port:1
-                 hit_packet)));
+              (Sdn_switch.Flow_table.lookup_uncached table ~in_port:1 headers)));
     Test.make ~name:"openflow/encode-pkt_in-no-buffer-scratch"
       (Staged.stage
          (let scratch = Sdn_openflow.Of_wire.Scratch.create () in
@@ -310,6 +310,31 @@ let micro_tests () =
           fun () ->
             Sdn_sim.Heap.push heap probe;
             ignore (Sdn_sim.Heap.remove heap probe.idx)));
+    (* A pop from a 30,000-deep heap and the push that refills it: the
+       pop hands back the cell its push allocated and the sifts move
+       cells, so the pair allocates exactly one 2-word cell. *)
+    Test.make ~name:"heap/pop-push-30k"
+      (Staged.stage
+         (let heap = Sdn_sim.Heap.create ~cmp:Int.compare () in
+          for i = 1 to 30_000 do
+            Sdn_sim.Heap.push heap ((i * 7919) mod 30011)
+          done;
+          fun () ->
+            match Sdn_sim.Heap.pop heap with
+            | Some v -> Sdn_sim.Heap.push heap (v + 30011)
+            | None -> ()));
+    (* The datapath's per-frame classification: the header view of a
+       1000-byte UDP frame, then a flow-table lookup answered by the
+       microflow cache. Replaces a full decode (packet/decode-1000B). *)
+    Test.make ~name:"packet/classify-1000B"
+      (Staged.stage
+         (let table = populated_table 1000 in
+          fun () ->
+            match Sdn_net.Packet.peek_headers sample_frame with
+            | Ok headers ->
+                ignore
+                  (Sdn_switch.Flow_table.classify table ~in_port:1 headers)
+            | Error _ -> ()));
     (* The analytical oracle's full evaluation for one operating point:
        the three-station Jackson solve, the feedback model, and the
        Erlang-B loss recursion at buffer-16. Pure closed-form float

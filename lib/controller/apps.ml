@@ -9,17 +9,17 @@ let forwarding ~hosts ?(idle_timeout = 5) ?(hard_timeout = 0) () =
       Hashtbl.replace by_mac (Mac.to_int64 mac) port)
     hosts;
   let decide (ctx : App.context) =
+    let headers = ctx.App.headers in
     let port_of_ip =
-      match ctx.App.headers.Packet.h_ipv4 with
-      | Some ip -> Hashtbl.find_opt by_ip (Ip.to_int32 ip.Ipv4.dst)
-      | None -> None
+      if headers.Packet.h_eth.Ethernet.ethertype = Ethernet.ethertype_ipv4 then
+        Hashtbl.find_opt by_ip (Ip.to_int32 headers.Packet.h_nw_dst)
+      else None
     in
     let port =
       match port_of_ip with
       | Some _ as p -> p
       | None ->
-          Hashtbl.find_opt by_mac
-            (Mac.to_int64 ctx.App.headers.Packet.h_eth.Ethernet.dst)
+          Hashtbl.find_opt by_mac (Mac.to_int64 headers.Packet.h_eth.Ethernet.dst)
     in
     match port with
     | Some out_port -> App.forward ~idle_timeout ~hard_timeout out_port

@@ -28,13 +28,21 @@ type counters = {
    parameters remembered so they can be re-pushed verbatim on resync,
    and the controller's view of the entries it has installed — the
    basis of the post-rejoin flow-state reconciliation pass. The view is
-   keyed by the printed (match, priority) pair so no polymorphic
+   keyed by the (match, priority) pair — the identity OpenFlow 1.0
+   gives a flow entry — under [Of_match.equal], so no polymorphic
    equality over match records is involved. *)
+module View = Hashtbl.Make (struct
+  type t = Of_match.t * int
+
+  let equal (ma, pa) (mb, pb) = pa = pb && Of_match.equal ma mb
+  let hash (m, p) = ((Of_match.hash m * 31) + p) land max_int
+end)
+
 type session = {
   tracker : Session.t;
   mutable enable_flow_buffer : Of_ext.backoff option;
   mutable miss_send_len : int option;
-  flow_view : (string, Of_flow_mod.t) Hashtbl.t;
+  flow_view : Of_flow_mod.t View.t;
   mutable reconciling : bool;
   mutable reconcile_rounds : int;
   mutable needs_reconcile : bool;
@@ -122,10 +130,9 @@ let fresh_xid t =
 (* The checker's xid namespace for one controller->switch channel. *)
 let channel_name switch = Printf.sprintf "ctl/sw-%d" switch
 
-(* The flow-view key: the printed (match, priority) pair — the identity
-   OpenFlow 1.0 gives a flow entry — avoiding polymorphic equality on
-   the match record. *)
-let view_key match_ priority =
+(* The printed (match, priority) pair: the order reconciliation
+   re-installs missing entries in. *)
+let printed_key (match_, priority) =
   Format.asprintf "%a/%d" Of_match.pp match_ priority
 
 let flow_mod_outputs_to (fm : Of_flow_mod.t) port =
@@ -147,8 +154,8 @@ let note_flow_mod_view t ~switch (fm : Of_flow_mod.t) =
   | Some s -> (
       match fm.Of_flow_mod.command with
       | Of_flow_mod.Add | Of_flow_mod.Modify | Of_flow_mod.Modify_strict ->
-          Hashtbl.replace s.flow_view
-            (view_key fm.Of_flow_mod.match_ fm.Of_flow_mod.priority)
+          View.replace s.flow_view
+            (fm.Of_flow_mod.match_, fm.Of_flow_mod.priority)
             (* Re-installs must not reference a buffer that is long
                gone. *)
             { fm with Of_flow_mod.buffer_id = Of_wire.no_buffer }
@@ -158,28 +165,22 @@ let note_flow_mod_view t ~switch (fm : Of_flow_mod.t) =
             | Of_flow_mod.Delete_strict -> true
             | _ -> false
           in
-          let doomed =
-            (* Sorted removal set: verdict independent of table order.
-               lint: allow hashtbl-order *)
-            Hashtbl.fold
-              (fun key (old : Of_flow_mod.t) acc ->
-                let match_ok =
-                  if strict then
-                    old.Of_flow_mod.priority = fm.Of_flow_mod.priority
-                    && Of_match.equal old.Of_flow_mod.match_
-                         fm.Of_flow_mod.match_
-                  else
-                    Of_match.subsumes ~general:fm.Of_flow_mod.match_
-                      ~specific:old.Of_flow_mod.match_
-                in
-                let port_ok =
-                  fm.Of_flow_mod.out_port = Of_wire.Port.none
-                  || flow_mod_outputs_to old fm.Of_flow_mod.out_port
-                in
-                if match_ok && port_ok then key :: acc else acc)
-              s.flow_view []
-          in
-          List.iter (Hashtbl.remove s.flow_view) doomed)
+          View.filter_map_inplace
+            (fun _ (old : Of_flow_mod.t) ->
+              let match_ok =
+                if strict then
+                  old.Of_flow_mod.priority = fm.Of_flow_mod.priority
+                  && Of_match.equal old.Of_flow_mod.match_ fm.Of_flow_mod.match_
+                else
+                  Of_match.subsumes ~general:fm.Of_flow_mod.match_
+                    ~specific:old.Of_flow_mod.match_
+              in
+              let port_ok =
+                fm.Of_flow_mod.out_port = Of_wire.Port.none
+                || flow_mod_outputs_to old fm.Of_flow_mod.out_port
+              in
+              if match_ok && port_ok then None else Some old)
+            s.flow_view)
 
 (* [fresh] marks xids this controller allocated itself; replies that
    echo a request's xid (including the flow_mod + packet_out pair
@@ -299,7 +300,7 @@ let ensure_session t ~switch =
           tracker;
           enable_flow_buffer = None;
           miss_send_len = None;
-          flow_view = Hashtbl.create 64;
+          flow_view = View.create 64;
           reconciling = false;
           reconcile_rounds = 0;
           needs_reconcile = false;
@@ -431,7 +432,7 @@ let handle_packet_in t ~switch ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
         {
           App.in_port = pkt_in.Of_packet_in.in_port;
           headers;
-          flow_key = Packet.peek_flow_key pkt_in.Of_packet_in.data;
+          flow_key = Packet.flow_key_of_headers headers;
           buffer_id = pkt_in.Of_packet_in.buffer_id;
           total_len = pkt_in.Of_packet_in.total_len;
         }
@@ -458,21 +459,19 @@ let handle_packet_in t ~switch ~xid (pkt_in : Of_packet_in.t) ~msg_bytes =
    this controller believes it installed. *)
 let reconcile_step t ~switch s stats =
   let now = Engine.now t.engine in
-  let reported = Hashtbl.create ((2 * List.length stats) + 1) in
+  let reported = View.create ((2 * List.length stats) + 1) in
   List.iter
     (fun (st : Of_stats.flow_stats) ->
-      Hashtbl.replace reported
-        (view_key st.Of_stats.match_ st.Of_stats.priority)
-        ())
+      View.replace reported (st.Of_stats.match_, st.Of_stats.priority) ())
     stats;
   (* Adopt switch entries the view does not know: after a cold
      controller restart the view is empty and must be relearnt from
      the network rather than flushed out of it. *)
   List.iter
     (fun (st : Of_stats.flow_stats) ->
-      let key = view_key st.Of_stats.match_ st.Of_stats.priority in
-      if not (Hashtbl.mem s.flow_view key) then
-        Hashtbl.replace s.flow_view key
+      let key = (st.Of_stats.match_, st.Of_stats.priority) in
+      if not (View.mem s.flow_view key) then
+        View.replace s.flow_view key
           (Of_flow_mod.add ~cookie:st.Of_stats.cookie
              ~idle_timeout:st.Of_stats.idle_timeout
              ~hard_timeout:st.Of_stats.hard_timeout
@@ -480,11 +479,11 @@ let reconcile_step t ~switch s stats =
              ~actions:st.Of_stats.actions ()))
     stats;
   let missing =
-    (* Sorted by key so re-installs go out in a deterministic order
-       (the sort discharges the hashtbl-order rule). *)
-    Hashtbl.fold
+    (* Sorted by printed key so re-installs go out in a deterministic
+       order; only the missing entries are ever printed. *)
+    View.fold
       (fun key fm acc ->
-        if Hashtbl.mem reported key then acc else (key, fm) :: acc)
+        if View.mem reported key then acc else (printed_key key, fm) :: acc)
       s.flow_view []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
@@ -534,7 +533,7 @@ let handle_flow_stats t ~switch stats =
       if s.reconciling then begin
         let work =
           t.costs.Costs.reconcile_per_entry_cost
-          *. float_of_int (Hashtbl.length s.flow_view + List.length stats)
+          *. float_of_int (View.length s.flow_view + List.length stats)
         in
         Cpu.submit t.cpu ~work_s:work (fun () ->
             if s.reconciling then reconcile_step t ~switch s stats)
@@ -581,8 +580,8 @@ let handle_message_from t ~switch buf =
              reconciliation pass does not resurrect it. *)
           (match Hashtbl.find_opt t.sessions switch with
           | Some s ->
-              Hashtbl.remove s.flow_view
-                (view_key fr.Of_flow_removed.match_ fr.Of_flow_removed.priority)
+              View.remove s.flow_view
+                (fr.Of_flow_removed.match_, fr.Of_flow_removed.priority)
           | None -> ())
       | Of_codec.Port_status ps ->
           t.c.port_changes <- t.c.port_changes + 1;
@@ -675,7 +674,7 @@ let crash t ~mode =
         | Faults.Cold ->
             (* Full state loss: the installed-entry view must be
                relearnt from the switches after boot. *)
-            Hashtbl.reset s.flow_view
+            View.reset s.flow_view
         | Faults.Warm -> ());
         Session.force_down s.tracker)
       (sorted_sessions t)

@@ -83,19 +83,25 @@ let on_switch_egress t ~time frame =
           flow.egressed <- flow.egressed + 1;
           if flow.egressed = flow.expected_packets then finish_flow t flow)
 
-let flow_id_of_pkt_in (pkt_in : Of_packet_in.t) =
-  let data = pkt_in.Of_packet_in.data in
-  let payload_off = Sdn_net.Packet.min_udp_frame in
-  if Bytes.length data >= payload_off + Tag.size then
-    Option.map
-      (fun tag -> tag.Tag.flow_id)
-      (Tag.read_payload (Bytes.sub data payload_off Tag.size))
-  else None
-
+(* A PACKET_IN is read in place: the xid from the common header, the
+   tag at its fixed offset in the carried frame. The checks are the
+   ones [Of_codec.decode] makes on a PACKET_IN (a valid header, a body
+   of at least the fixed part, a known reason), so exactly the messages
+   it accepts are recorded, without copying the frame data. *)
 let on_to_controller t ~time buf =
-  match Of_codec.decode buf with
-  | Ok (xid, Of_codec.Packet_in pkt_in) ->
-      Hashtbl.replace t.pending_requests xid (time, flow_id_of_pkt_in pkt_in)
+  match Of_wire.read_header buf with
+  | Ok { Of_wire.msg_type = Of_wire.Msg_type.Packet_in; length; xid }
+    when Of_packet_in.body_valid buf Of_wire.header_size
+           ~len:(length - Of_wire.header_size) ->
+      let tag_off =
+        Of_wire.header_size + Of_packet_in.fixed_body
+        + Sdn_net.Packet.min_udp_frame
+      in
+      let flow_id =
+        if tag_off + Tag.size > length then None
+        else Option.map (fun tag -> tag.Tag.flow_id) (Tag.read_at buf tag_off)
+      in
+      Hashtbl.replace t.pending_requests xid (time, flow_id)
   | Ok _ | Error _ -> ()
 
 let on_to_switch t ~time buf =

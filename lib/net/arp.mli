@@ -22,5 +22,10 @@ val reply : t -> responder_mac:Mac.t -> t
 val write : t -> Bytes.t -> int -> unit
 val read : Bytes.t -> int -> (t, string) result
 
+val header_error : Bytes.t -> int -> string option
+(** [header_error buf off] is the error {!read} would report for the
+    packet at [off], without building it; [None] when it is valid.
+    Allocates nothing. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -31,5 +31,10 @@ val read : Bytes.t -> int -> (t * int, string) result
 (** [read buf off] parses the header, verifies the checksum and returns
     [(header, payload_len)]. *)
 
+val header_error : Bytes.t -> int -> string option
+(** [header_error buf off] is the error {!read} would report for the
+    header at [off], without building the header; [None] when it is
+    valid. Allocates nothing. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -11,9 +11,8 @@ let of_octets a b c d e f =
     if o < 0 || o > 255 then invalid_arg "Mac.of_octets: octet out of range"
   in
   check a; check b; check c; check d; check e; check f;
-  let ( << ) x n = Int64.shift_left (Int64.of_int x) n in
-  List.fold_left Int64.logor 0L
-    [ a << 40; b << 32; c << 24; d << 16; e << 8; f << 0 ]
+  Int64.of_int
+    ((a lsl 40) lor (b lsl 32) lor (c lsl 24) lor (d lsl 16) lor (e lsl 8) lor f)
 
 let octet t i =
   (* i = 0 is the most significant octet. *)
@@ -59,11 +58,16 @@ let hash t = Int64.to_int t land max_int
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
+(* 48 bits fit an OCaml int, so the codec is three 16-bit accesses
+   and, for [read], the one [int64] box of the result. *)
 let write t buf off =
-  for i = 0 to 5 do
-    Bytes.set_uint8 buf (off + i) (octet t i)
-  done
+  let v = Int64.to_int t in
+  Bytes.set_uint16_be buf off ((v lsr 32) land 0xFFFF);
+  Bytes.set_uint16_be buf (off + 2) ((v lsr 16) land 0xFFFF);
+  Bytes.set_uint16_be buf (off + 4) (v land 0xFFFF)
 
 let read buf off =
-  let get i = Bytes.get_uint8 buf (off + i) in
-  of_octets (get 0) (get 1) (get 2) (get 3) (get 4) (get 5)
+  Int64.of_int
+    ((Bytes.get_uint16_be buf off lsl 32)
+    lor (Bytes.get_uint16_be buf (off + 2) lsl 16)
+    lor Bytes.get_uint16_be buf (off + 4))

@@ -90,20 +90,6 @@ let decode buf =
         Ok { eth; l3 = Raw_l3 payload }
       end
 
-let flow_key t =
-  match t.l3 with
-  | Ipv4 (ip, Udp (udp, _)) ->
-      Some
-        (Flow_key.make ~proto:Ipv4.proto_udp ~src_ip:ip.Ipv4.src
-           ~dst_ip:ip.Ipv4.dst ~src_port:udp.Udp.src_port
-           ~dst_port:udp.Udp.dst_port)
-  | Ipv4 (ip, Tcp (tcp, _)) ->
-      Some
-        (Flow_key.make ~proto:Ipv4.proto_tcp ~src_ip:ip.Ipv4.src
-           ~dst_ip:ip.Ipv4.dst ~src_port:tcp.Tcp.src_port
-           ~dst_port:tcp.Tcp.dst_port)
-  | Ipv4 (_, Raw_l4 _) | Arp _ | Raw_l3 _ -> None
-
 let udp ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ?(ttl = 64)
     ?(ident = 0) ~payload () =
   {
@@ -163,42 +149,123 @@ let arp ~src_mac ~dst_mac payload =
 
 type headers = {
   h_eth : Ethernet.t;
-  h_ipv4 : Ipv4.t option;
-  h_l4_ports : (int * int) option;
+  h_nw_proto : int;
+  h_nw_tos : int;
+  h_nw_src : Ip.t;
+  h_nw_dst : Ip.t;
+  h_tp_src : int;
+  h_tp_dst : int;
 }
 
+let l2_headers eth =
+  {
+    h_eth = eth;
+    h_nw_proto = -1;
+    h_nw_tos = -1;
+    h_nw_src = Ip.any;
+    h_nw_dst = Ip.any;
+    h_tp_src = -1;
+    h_tp_dst = -1;
+  }
+
+(* Header fields are read in place at their fixed offsets: no payload
+   copy, no transport checksum, no intermediate IPv4 or ARP record. The
+   IPv4 and ARP validity checks are {!decode}'s own. *)
 let peek_headers buf =
   match Ethernet.read buf 0 with
   | Error _ as e -> e
   | Ok eth ->
-      if eth.Ethernet.ethertype <> Ethernet.ethertype_ipv4 then
-        Ok { h_eth = eth; h_ipv4 = None; h_l4_ports = None }
-      else begin
-        match Ipv4.read buf Ethernet.size with
-        | Error _ as e -> e
-        | Ok (ip, _payload_len) ->
-            let l4_off = Ethernet.size + Ipv4.size in
+      let off = Ethernet.size in
+      if eth.Ethernet.ethertype = Ethernet.ethertype_ipv4 then begin
+        match Ipv4.header_error buf off with
+        | Some msg -> Error msg
+        | None ->
+            let proto = Bytes.get_uint8 buf (off + 9) in
+            let l4_off = off + Ipv4.size in
             let ports =
-              if
-                (ip.Ipv4.proto = Ipv4.proto_udp || ip.Ipv4.proto = Ipv4.proto_tcp)
-                && l4_off + 4 <= Bytes.length buf
-              then
-                Some
-                  ( Bytes.get_uint16_be buf l4_off,
-                    Bytes.get_uint16_be buf (l4_off + 2) )
-              else None
+              (proto = Ipv4.proto_udp || proto = Ipv4.proto_tcp)
+              && l4_off + 4 <= Bytes.length buf
             in
-            Ok { h_eth = eth; h_ipv4 = Some ip; h_l4_ports = ports }
+            Ok
+              {
+                h_eth = eth;
+                h_nw_proto = proto;
+                h_nw_tos = Bytes.get_uint8 buf (off + 1);
+                h_nw_src = Ip.read buf (off + 12);
+                h_nw_dst = Ip.read buf (off + 16);
+                h_tp_src = (if ports then Bytes.get_uint16_be buf l4_off else -1);
+                h_tp_dst =
+                  (if ports then Bytes.get_uint16_be buf (l4_off + 2) else -1);
+              }
       end
+      else if eth.Ethernet.ethertype = Ethernet.ethertype_arp then begin
+        match Arp.header_error buf off with
+        | Some msg -> Error msg
+        | None ->
+            Ok
+              {
+                (l2_headers eth) with
+                h_nw_proto = Bytes.get_uint16_be buf (off + 6);
+                h_nw_src = Ip.read buf (off + 14);
+                h_nw_dst = Ip.read buf (off + 24);
+              }
+      end
+      else Ok (l2_headers eth)
+
+let headers_of t =
+  match t.l3 with
+  | Ipv4 (ip, l4) ->
+      let tp_src, tp_dst =
+        match l4 with
+        | Udp (udp, _) -> (udp.Udp.src_port, udp.Udp.dst_port)
+        | Tcp (tcp, _) -> (tcp.Tcp.src_port, tcp.Tcp.dst_port)
+        | Raw_l4 _ -> (-1, -1)
+      in
+      {
+        h_eth = t.eth;
+        h_nw_proto = ip.Ipv4.proto;
+        h_nw_tos = ip.Ipv4.tos;
+        h_nw_src = ip.Ipv4.src;
+        h_nw_dst = ip.Ipv4.dst;
+        h_tp_src = tp_src;
+        h_tp_dst = tp_dst;
+      }
+  | Arp arp ->
+      {
+        (l2_headers t.eth) with
+        h_nw_proto = (match arp.Arp.oper with Arp.Request -> 1 | Arp.Reply -> 2);
+        h_nw_src = arp.Arp.sender_ip;
+        h_nw_dst = arp.Arp.target_ip;
+      }
+  | Raw_l3 _ -> l2_headers t.eth
+
+let flow_key_of_headers h =
+  if h.h_tp_src < 0 then None
+  else
+    Some
+      (Flow_key.make ~proto:h.h_nw_proto ~src_ip:h.h_nw_src ~dst_ip:h.h_nw_dst
+         ~src_port:h.h_tp_src ~dst_port:h.h_tp_dst)
+
+let flow_key t = flow_key_of_headers (headers_of t)
 
 let peek_flow_key buf =
   match peek_headers buf with
+  | Ok h -> flow_key_of_headers h
   | Error _ -> None
-  | Ok { h_ipv4 = Some ip; h_l4_ports = Some (src_port, dst_port); _ } ->
-      Some
-        (Flow_key.make ~proto:ip.Ipv4.proto ~src_ip:ip.Ipv4.src
-           ~dst_ip:ip.Ipv4.dst ~src_port ~dst_port)
-  | Ok _ -> None
+
+let equal_headers a b =
+  Ethernet.equal a.h_eth b.h_eth
+  && a.h_nw_proto = b.h_nw_proto && a.h_nw_tos = b.h_nw_tos
+  && Ip.equal a.h_nw_src b.h_nw_src
+  && Ip.equal a.h_nw_dst b.h_nw_dst
+  && a.h_tp_src = b.h_tp_src && a.h_tp_dst = b.h_tp_dst
+
+let hash_headers h =
+  let ( ++ ) acc x = (acc * 131) + x in
+  (Mac.hash h.h_eth.Ethernet.src ++ Mac.hash h.h_eth.Ethernet.dst
+   ++ h.h_eth.Ethernet.ethertype ++ h.h_nw_proto ++ h.h_nw_tos
+   ++ Ip.hash h.h_nw_src ++ Ip.hash h.h_nw_dst ++ h.h_tp_src ++ h.h_tp_dst)
+  land max_int
 
 let equal_l4 a b =
   match (a, b) with

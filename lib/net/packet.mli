@@ -29,9 +29,6 @@ val decode : Bytes.t -> (t, string) result
 (** Parse a frame. Transport layers of IPv4 packets are parsed for UDP
     and TCP; other protocols come back as [Raw_l4]. *)
 
-val flow_key : t -> Flow_key.t option
-(** The 5-tuple, if the packet is IPv4 UDP or TCP. *)
-
 val udp :
   src_mac:Mac.t ->
   dst_mac:Mac.t ->
@@ -87,23 +84,49 @@ val pp : Format.formatter -> t -> unit
 val min_udp_frame : int
 (** Header overhead of a UDP frame: Ethernet + IPv4 + UDP = 42 bytes. *)
 
-(** {2 Header peeking}
+(** {2 Header view}
 
-    A buffered [packet_in] carries only the first [miss_send_len] bytes
-    of the frame, so the controller cannot run the validating
-    {!decode} (payload checksums cannot be verified on a truncated
-    frame). {!peek_headers} parses just the protocol headers. *)
+    Classification reads only protocol headers, as a datapath does:
+    {!peek_headers} reads them in place from a frame (or from the
+    [miss_send_len]-byte prefix a buffered [packet_in] carries), with
+    no payload copy and no transport checksum. It is the one view the
+    flow table, the microflow cache and the controller classify on;
+    a full {!decode} runs only where an action rewrites a header. *)
 
 type headers = {
   h_eth : Ethernet.t;
-  h_ipv4 : Ipv4.t option;
-  h_l4_ports : (int * int) option;  (** (src, dst) for UDP/TCP *)
+  h_nw_proto : int;
+      (** IPv4 protocol, or the ARP operation (1 request, 2 reply);
+          [-1] for any other ethertype *)
+  h_nw_tos : int;  (** IPv4 ToS byte; [-1] unless IPv4 *)
+  h_nw_src : Ip.t;
+      (** IPv4 source, or the ARP sender address; [Ip.any] when
+          [h_nw_proto < 0] *)
+  h_nw_dst : Ip.t;  (** IPv4 destination, or the ARP target address *)
+  h_tp_src : int;
+      (** UDP/TCP source port; [-1] when absent. Ports are present only
+          in IPv4 UDP/TCP headers. *)
+  h_tp_dst : int;  (** UDP/TCP destination port; [-1] when absent *)
 }
 
 val peek_headers : Bytes.t -> (headers, string) result
-(** Parse Ethernet, and when present IPv4 and L4 port, headers from a
-    possibly-truncated frame prefix. The IPv4 header checksum is still
-    verified (it lies within the prefix); payload integrity is not. *)
+(** Read the Ethernet, IPv4 or ARP, and UDP/TCP port headers from a
+    possibly-truncated frame. The IPv4 header checksum and the ARP
+    header are validated as {!decode} does; payload integrity is not.
+    Ports are absent when the prefix ends before them. *)
+
+val headers_of : t -> headers
+(** The view of a structured packet: for a well-formed frame,
+    [headers_of p] equals [peek_headers (encode p)]. *)
+
+val flow_key_of_headers : headers -> Flow_key.t option
+(** The 5-tuple, if the headers carry ports (IPv4 UDP or TCP). *)
+
+val flow_key : t -> Flow_key.t option
+(** [flow_key p] is [flow_key_of_headers (headers_of p)]. *)
 
 val peek_flow_key : Bytes.t -> Flow_key.t option
 (** The 5-tuple from a possibly-truncated frame prefix. *)
+
+val equal_headers : headers -> headers -> bool
+val hash_headers : headers -> int

@@ -166,33 +166,41 @@ let rewrite_l4 f (pkt : Packet.t) =
   | Packet.Ipv4 (ip, l4) -> { pkt with Packet.l3 = Packet.Ipv4 (ip, f l4) }
   | Packet.Arp _ | Packet.Raw_l3 _ -> pkt
 
+let rewrites_header = function
+  | Set_dl_src _ | Set_dl_dst _ | Set_nw_src _ | Set_nw_dst _ | Set_nw_tos _
+  | Set_tp_src _ | Set_tp_dst _ ->
+      true
+  | Output _ | Enqueue _ | Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan -> false
+
+let rewrite (pkt : Packet.t) = function
+  | Set_dl_src mac ->
+      { pkt with Packet.eth = { pkt.Packet.eth with Ethernet.src = mac } }
+  | Set_dl_dst mac ->
+      { pkt with Packet.eth = { pkt.Packet.eth with Ethernet.dst = mac } }
+  | Set_nw_src ip -> rewrite_ip (fun h -> { h with Ipv4.src = ip }) pkt
+  | Set_nw_dst ip -> rewrite_ip (fun h -> { h with Ipv4.dst = ip }) pkt
+  | Set_nw_tos tos -> rewrite_ip (fun h -> { h with Ipv4.tos = tos }) pkt
+  | Set_tp_src port -> rewrite_l4 (rewrite_l4_src port) pkt
+  | Set_tp_dst port -> rewrite_l4 (rewrite_l4_dst port) pkt
+  | Output _ | Enqueue _ | Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan ->
+      (* VLAN tagging is not modelled on the data plane. *)
+      pkt
+
+let apply actions pkt = List.fold_left rewrite pkt actions
+
 type output_spec = { out_port : int; queue_id : int32 option }
 
-let apply_full actions pkt =
-  let step (pkt, outputs) action =
-    match action with
-    | Output { port; _ } -> (pkt, { out_port = port; queue_id = None } :: outputs)
-    | Enqueue { port; queue_id } ->
-        (pkt, { out_port = port; queue_id = Some queue_id } :: outputs)
-    | Set_dl_src mac ->
-        ({ pkt with Packet.eth = { pkt.Packet.eth with Ethernet.src = mac } }, outputs)
-    | Set_dl_dst mac ->
-        ({ pkt with Packet.eth = { pkt.Packet.eth with Ethernet.dst = mac } }, outputs)
-    | Set_nw_src ip -> (rewrite_ip (fun h -> { h with Ipv4.src = ip }) pkt, outputs)
-    | Set_nw_dst ip -> (rewrite_ip (fun h -> { h with Ipv4.dst = ip }) pkt, outputs)
-    | Set_nw_tos tos -> (rewrite_ip (fun h -> { h with Ipv4.tos = tos }) pkt, outputs)
-    | Set_tp_src port -> (rewrite_l4 (rewrite_l4_src port) pkt, outputs)
-    | Set_tp_dst port -> (rewrite_l4 (rewrite_l4_dst port) pkt, outputs)
-    | Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan ->
-        (* VLAN tagging is not modelled on the data plane. *)
-        (pkt, outputs)
-  in
-  let pkt, outputs = List.fold_left step (pkt, []) actions in
-  (pkt, List.rev outputs)
-
-let apply actions pkt =
-  let pkt, outputs = apply_full actions pkt in
-  (pkt, List.map (fun o -> o.out_port) outputs)
+let rec outputs = function
+  | [] -> []
+  | Output { port; _ } :: rest ->
+      { out_port = port; queue_id = None } :: outputs rest
+  | Enqueue { port; queue_id } :: rest ->
+      { out_port = port; queue_id = Some queue_id } :: outputs rest
+  | ( Set_vlan_vid _ | Set_vlan_pcp _ | Strip_vlan | Set_dl_src _
+    | Set_dl_dst _ | Set_nw_src _ | Set_nw_dst _ | Set_nw_tos _
+    | Set_tp_src _ | Set_tp_dst _ )
+    :: rest ->
+      outputs rest
 
 let equal a b =
   match (a, b) with

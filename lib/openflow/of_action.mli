@@ -36,13 +36,18 @@ type output_spec = { out_port : int; queue_id : int32 option }
 (** One forwarding decision: a port, and the egress queue when the
     action was [Enqueue]. *)
 
-val apply : t list -> Packet.t -> Packet.t * int list
-(** Apply header rewrites in order and collect output ports. The port
-    list preserves action order. *)
+val rewrites_header : t -> bool
+(** Does the action rewrite a packet header the data plane models
+    (MAC, IPv4 address or ToS, transport port)? VLAN actions do not:
+    frames carry no VLAN tag. *)
 
-val apply_full : t list -> Packet.t -> Packet.t * output_spec list
-(** Like {!apply} but keeps the queue assignment of [Enqueue] actions,
-    for switches with QoS egress scheduling. *)
+val apply : t list -> Packet.t -> Packet.t
+(** Apply the header rewrites in order. The result is physically the
+    input packet when no action changed it. *)
+
+val outputs : t list -> output_spec list
+(** The forwarding decisions, in action order, keeping the queue
+    assignment of [Enqueue] actions. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

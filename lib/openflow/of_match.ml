@@ -48,50 +48,24 @@ let wildcard_all =
   }
 
 let exact_of_packet ?in_port (pkt : Packet.t) =
-  let base =
-    {
-      wildcard_all with
-      in_port;
-      dl_src = Some pkt.Packet.eth.Ethernet.src;
-      dl_dst = Some pkt.Packet.eth.Ethernet.dst;
-      dl_type = Some pkt.Packet.eth.Ethernet.ethertype;
-    }
-  in
-  match pkt.Packet.l3 with
-  | Packet.Ipv4 (ip, l4) -> (
-      let with_ip =
-        {
-          base with
-          nw_tos = Some ip.Ipv4.tos;
-          nw_proto = Some ip.Ipv4.proto;
-          nw_src = Some (ip.Ipv4.src, 32);
-          nw_dst = Some (ip.Ipv4.dst, 32);
-        }
-      in
-      match l4 with
-      | Packet.Udp (udp, _) ->
-          {
-            with_ip with
-            tp_src = Some udp.Udp.src_port;
-            tp_dst = Some udp.Udp.dst_port;
-          }
-      | Packet.Tcp (tcp, _) ->
-          {
-            with_ip with
-            tp_src = Some tcp.Tcp.src_port;
-            tp_dst = Some tcp.Tcp.dst_port;
-          }
-      | Packet.Raw_l4 _ -> with_ip)
-  | Packet.Arp arp ->
-      (* OF 1.0 reuses nw fields for ARP addresses and nw_proto for the
-         opcode. *)
-      {
-        base with
-        nw_proto = Some (match arp.Arp.oper with Arp.Request -> 1 | Arp.Reply -> 2);
-        nw_src = Some (arp.Arp.sender_ip, 32);
-        nw_dst = Some (arp.Arp.target_ip, 32);
-      }
-  | Packet.Raw_l3 _ -> base
+  let h = Packet.headers_of pkt in
+  let present v = if v >= 0 then Some v else None in
+  let nw = h.Packet.h_nw_proto >= 0 in
+  {
+    wildcard_all with
+    in_port;
+    dl_src = Some h.Packet.h_eth.Ethernet.src;
+    dl_dst = Some h.Packet.h_eth.Ethernet.dst;
+    dl_type = Some h.Packet.h_eth.Ethernet.ethertype;
+    (* OF 1.0 reuses nw fields for ARP addresses and nw_proto for the
+       opcode; the header view already does. *)
+    nw_tos = present h.Packet.h_nw_tos;
+    nw_proto = present h.Packet.h_nw_proto;
+    nw_src = (if nw then Some (h.Packet.h_nw_src, 32) else None);
+    nw_dst = (if nw then Some (h.Packet.h_nw_dst, 32) else None);
+    tp_src = present h.Packet.h_tp_src;
+    tp_dst = present h.Packet.h_tp_dst;
+  }
 
 let of_flow_key (key : Flow_key.t) =
   {
@@ -104,32 +78,34 @@ let of_flow_key (key : Flow_key.t) =
     tp_dst = Some key.Flow_key.dst_port;
   }
 
-let matches t ~in_port (pkt : Packet.t) =
-  let pkt_as_match = exact_of_packet ~in_port pkt in
-  let opt_eq eq a b =
-    match (a, b) with
-    | None, _ -> true
-    | Some expected, Some actual -> eq expected actual
-    | Some _, None -> false
+(* Field by field against the header view, where [-1] marks an absent
+   numeric field and [h_nw_proto < 0] absent addresses. Allocates
+   nothing. *)
+let matches t ~in_port (h : Packet.headers) =
+  let int_field want have =
+    match want with None -> true | Some v -> have >= 0 && v = have
   in
-  let ip_field a b =
-    match (a, b) with
-    | None, _ -> true
-    | Some (prefix, bits), Some (addr, _) -> Ip.matches_prefix ~prefix ~bits addr
-    | Some _, None -> false
+  let mac_field want have =
+    match want with None -> true | Some m -> Mac.equal m have
   in
-  opt_eq ( = ) t.in_port pkt_as_match.in_port
-  && opt_eq Mac.equal t.dl_src pkt_as_match.dl_src
-  && opt_eq Mac.equal t.dl_dst pkt_as_match.dl_dst
-  && opt_eq ( = ) t.dl_vlan pkt_as_match.dl_vlan
-  && opt_eq ( = ) t.dl_vlan_pcp pkt_as_match.dl_vlan_pcp
-  && opt_eq ( = ) t.dl_type pkt_as_match.dl_type
-  && opt_eq ( = ) t.nw_tos pkt_as_match.nw_tos
-  && opt_eq ( = ) t.nw_proto pkt_as_match.nw_proto
-  && ip_field t.nw_src pkt_as_match.nw_src
-  && ip_field t.nw_dst pkt_as_match.nw_dst
-  && opt_eq ( = ) t.tp_src pkt_as_match.tp_src
-  && opt_eq ( = ) t.tp_dst pkt_as_match.tp_dst
+  let ip_field nw_proto want addr =
+    match want with
+    | None -> true
+    | Some (prefix, bits) -> nw_proto >= 0 && Ip.matches_prefix ~prefix ~bits addr
+  in
+  let eth = h.Packet.h_eth in
+  int_field t.in_port in_port
+  && mac_field t.dl_src eth.Ethernet.src
+  && mac_field t.dl_dst eth.Ethernet.dst
+  && Option.is_none t.dl_vlan
+  && Option.is_none t.dl_vlan_pcp
+  && int_field t.dl_type eth.Ethernet.ethertype
+  && int_field t.nw_tos h.Packet.h_nw_tos
+  && int_field t.nw_proto h.Packet.h_nw_proto
+  && ip_field h.Packet.h_nw_proto t.nw_src h.Packet.h_nw_src
+  && ip_field h.Packet.h_nw_proto t.nw_dst h.Packet.h_nw_dst
+  && int_field t.tp_src h.Packet.h_tp_src
+  && int_field t.tp_dst h.Packet.h_tp_dst
 
 let subsumes ~general ~specific =
   let field g s eq =
@@ -250,6 +226,16 @@ let equal a b =
   && opt_eq ip_eq a.nw_dst b.nw_dst
   && opt_eq ( = ) a.tp_src b.tp_src
   && opt_eq ( = ) a.tp_dst b.tp_dst
+
+let hash t =
+  let opt f = function None -> 0 | Some v -> 1 + f v in
+  let int x = x and prefix (ip, bits) = (Ip.hash ip * 33) + bits in
+  let ( ++ ) h x = (h * 31) + x in
+  (0 ++ opt int t.in_port ++ opt Mac.hash t.dl_src ++ opt Mac.hash t.dl_dst
+   ++ opt int t.dl_vlan ++ opt int t.dl_vlan_pcp ++ opt int t.dl_type
+   ++ opt int t.nw_tos ++ opt int t.nw_proto ++ opt prefix t.nw_src
+   ++ opt prefix t.nw_dst ++ opt int t.tp_src ++ opt int t.tp_dst)
+  land max_int
 
 let pp fmt t =
   let field name pp_v = function

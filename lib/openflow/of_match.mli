@@ -35,8 +35,11 @@ val of_flow_key : Flow_key.t -> t
 (** Match on the transport 5-tuple only (plus [dl_type] = IPv4, which
     OpenFlow requires before IP fields may be matched). *)
 
-val matches : t -> in_port:int -> Packet.t -> bool
-(** Does the packet, arriving on [in_port], satisfy the match? *)
+val matches : t -> in_port:int -> Packet.headers -> bool
+(** Does the packet with header view [h] ({!Sdn_net.Packet.peek_headers}
+    or {!Sdn_net.Packet.headers_of}), arriving on [in_port], satisfy
+    the match? Simulated frames carry no VLAN tag, so a match on
+    [dl_vlan] or [dl_vlan_pcp] never succeeds. *)
 
 val subsumes : general:t -> specific:t -> bool
 (** [subsumes ~general ~specific]: every packet matched by [specific]
@@ -48,4 +51,9 @@ val write : t -> Bytes.t -> int -> unit
 val read : Bytes.t -> int -> (t, string) result
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash consistent with {!equal}, for structural hash tables keyed
+    by matches. *)
+
 val pp : Format.formatter -> t -> unit

@@ -41,6 +41,10 @@ let write_body t buf off =
   Bytes.set_uint8 buf (off + 9) 0;
   Bytes.blit t.data 0 buf (off + fixed_body) (Bytes.length t.data)
 
+let body_valid buf off ~len =
+  len >= fixed_body
+  && match Bytes.get_uint8 buf (off + 8) with 0 | 1 -> true | _ -> false
+
 let read_body buf off ~len =
   if len < fixed_body then Error "Of_packet_in.read_body: truncated"
   else begin

@@ -30,8 +30,15 @@ val make :
 val body_size : t -> int
 (** 10 + data bytes. *)
 
+val fixed_body : int
+(** 10: the body bytes before the frame data. *)
+
 val write_body : t -> Bytes.t -> int -> unit
 val read_body : Bytes.t -> int -> len:int -> (t, string) result
+
+val body_valid : Bytes.t -> int -> len:int -> bool
+(** Would {!read_body} accept the [len]-byte body at the offset? Reads
+    in place and copies nothing. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

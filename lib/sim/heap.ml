@@ -31,9 +31,12 @@ let get t i =
          incrementing, pop/remove clear only cells at or past [size]. *)
       assert false (* lint: allow partial-exit *)
 
-let set t i x =
-  t.data.(i) <- Some x;
-  t.set_index x i
+(* Cells are moved between slots, never re-wrapped: a push allocates
+   the one [Some] cell its element lives in for its whole stay, and
+   sifts, pops and removals allocate nothing. *)
+let place t i cell =
+  t.data.(i) <- cell;
+  match cell with Some x -> t.set_index x i | None -> ()
 
 let grow t =
   let data = Array.make (2 * Array.length t.data) None in
@@ -53,49 +56,70 @@ let maybe_shrink t =
     t.data <- data
   end
 
-let rec sift_up t i =
-  if i > 0 then begin
+(* Hole-based sifts: the moving element [x] is compared against its
+   neighbours, each displaced cell shifts one level, and [x]'s own cell
+   is placed once in the slot the hole ends at. Element positions match
+   a swap-based sift exactly. *)
+let rec hole_up t x i =
+  if i = 0 then 0
+  else begin
     let parent = (i - 1) / 2 in
-    if t.cmp (get t i) (get t parent) < 0 then begin
-      let a = get t i and b = get t parent in
-      set t i b;
-      set t parent a;
-      sift_up t parent
+    if t.cmp x (get t parent) < 0 then begin
+      place t i t.data.(parent);
+      hole_up t x parent
     end
+    else i
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.cmp (get t l) (get t !smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp (get t r) (get t !smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let a = get t i and b = get t !smallest in
-    set t i b;
-    set t !smallest a;
-    sift_down t !smallest
+let rec hole_down t x i =
+  let l = (2 * i) + 1 in
+  if l >= t.size then i
+  else begin
+    let r = l + 1 in
+    let child = if r < t.size && t.cmp (get t r) (get t l) < 0 then r else l in
+    if t.cmp (get t child) x < 0 then begin
+      place t i t.data.(child);
+      hole_down t x child
+    end
+    else i
   end
+
+let sift_up t i =
+  let cell = t.data.(i) in
+  place t (hole_up t (get t i) i) cell
+
+let sift_down t i =
+  let cell = t.data.(i) in
+  place t (hole_down t (get t i) i) cell
 
 let push t x =
   if t.size = Array.length t.data then grow t;
-  set t t.size x;
+  t.data.(t.size) <- Some x;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
 let peek t = if t.size = 0 then None else t.data.(0)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = get t 0 in
-    t.set_index top (-1);
-    t.size <- t.size - 1;
-    if t.size > 0 then set t 0 (get t t.size);
-    t.data.(t.size) <- None;
-    if t.size > 0 then sift_down t 0;
-    maybe_shrink t;
-    Some top
-  end
+(* Detach the cell at [i]: the last cell fills the hole and sifts
+   whichever way the heap property needs. The detached cell itself is
+   returned, so a pop hands back the [Some] its push allocated. *)
+let take t i =
+  let cell = t.data.(i) in
+  t.set_index (get t i) (-1);
+  t.size <- t.size - 1;
+  let last = t.data.(t.size) in
+  t.data.(t.size) <- None;
+  if i < t.size then begin
+    t.data.(i) <- last;
+    (* The displaced element may violate the heap property in either
+       direction relative to its new position. *)
+    if i > 0 && t.cmp (get t i) (get t ((i - 1) / 2)) < 0 then sift_up t i
+    else sift_down t i
+  end;
+  maybe_shrink t;
+  cell
+
+let pop t = if t.size = 0 then None else take t 0
 
 let pop_exn t =
   match pop t with
@@ -104,21 +128,9 @@ let pop_exn t =
 
 let remove t i =
   if i < 0 || i >= t.size then invalid_arg "Heap.remove: index out of bounds";
-  let removed = get t i in
-  t.set_index removed (-1);
-  t.size <- t.size - 1;
-  if i < t.size then begin
-    let last = get t t.size in
-    t.data.(t.size) <- None;
-    set t i last;
-    (* The displaced element may violate the heap property in either
-       direction relative to its new position. *)
-    if i > 0 && t.cmp last (get t ((i - 1) / 2)) < 0 then sift_up t i
-    else sift_down t i
-  end
-  else t.data.(t.size) <- None;
-  maybe_shrink t;
-  removed
+  let x = get t i in
+  ignore (take t i);
+  x
 
 let clear t =
   for i = 0 to t.size - 1 do

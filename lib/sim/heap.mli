@@ -14,7 +14,11 @@
       deletes echo keepalives and backoff timers for real).
     - {b adaptive capacity}: the backing array halves whenever
       occupancy falls to a quarter (never below the creation capacity),
-      so a burst does not pin its high-water memory forever. *)
+      so a burst does not pin its high-water memory forever.
+    - {b one cell per element}: a push allocates the one [Some] cell the
+      element keeps until it leaves; sifts move cells instead of
+      re-wrapping them, and {!pop} returns that same cell, so only the
+      backing array's growth allocates besides. *)
 
 type 'a t
 (** A mutable min-heap of ['a] values. *)

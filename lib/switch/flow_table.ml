@@ -164,9 +164,9 @@ let insert t entry =
             Evicted victim
       end
 
-let candidates t pkt =
+let candidates t h =
   let exact =
-    match Packet.flow_key pkt with
+    match Packet.flow_key_of_headers h with
     | None -> []
     | Some key -> (
         match Flow_key.Table.find_opt t.exact key with
@@ -177,13 +177,13 @@ let candidates t pkt =
 
 (* The slow path: highest-priority match over the candidate set. Pure
    (no counters), so the checker can replay it next to a cache hit. *)
-let lookup_uncached t ~in_port pkt =
+let lookup_uncached t ~in_port h =
   List.fold_left
     (fun acc uid ->
       match Hashtbl.find_opt t.by_uid uid with
       | None -> acc
       | Some entry ->
-          if not (Of_match.matches entry.Flow_entry.match_ ~in_port pkt) then
+          if not (Of_match.matches entry.Flow_entry.match_ ~in_port h) then
             acc
           else begin
             match acc with
@@ -193,17 +193,17 @@ let lookup_uncached t ~in_port pkt =
                 then Some entry
                 else acc
           end)
-    None (candidates t pkt)
+    None (candidates t h)
 
 (* With the checker armed, every cache hit replays the slow path and
    the two results must name the same physical entry (or agree on a
    miss). The comparison never alters the returned value, so checked
    runs stay byte-identical to unchecked ones. *)
-let audit_hit t ~in_port pkt cached =
+let audit_hit t ~in_port h cached =
   match t.check with
   | None -> ()
   | Some check ->
-      let slow = lookup_uncached t ~in_port pkt in
+      let slow = lookup_uncached t ~in_port h in
       let agree =
         match (cached, slow) with
         | Some (a : Flow_entry.t), Some b -> a == b
@@ -224,26 +224,28 @@ let audit_hit t ~in_port pkt cached =
       Sdn_check.Check.note_microflow check ~time:(t.clock ()) ~table:t.name
         ~agree ~detail
 
-let lookup t ~in_port pkt =
+let classify t ~in_port h =
   t.lookups <- t.lookups + 1;
   let best =
     match t.cache with
-    | None -> lookup_uncached t ~in_port pkt
+    | None -> lookup_uncached t ~in_port h
     | Some cache -> (
-        match Microflow.key_of_packet ~in_port pkt with
-        | None -> lookup_uncached t ~in_port pkt
+        match Microflow.key_of_headers ~in_port h with
+        | None -> lookup_uncached t ~in_port h
         | Some key -> (
             match Microflow.find cache key with
             | Some cached ->
-                audit_hit t ~in_port pkt cached;
+                audit_hit t ~in_port h cached;
                 cached
             | None ->
-                let result = lookup_uncached t ~in_port pkt in
+                let result = lookup_uncached t ~in_port h in
                 Microflow.add cache key result;
                 result))
   in
   (match best with Some _ -> t.hits <- t.hits + 1 | None -> ());
   best
+
+let lookup t ~in_port pkt = classify t ~in_port (Packet.headers_of pkt)
 
 let entry_outputs_to (e : Flow_entry.t) port =
   List.exists

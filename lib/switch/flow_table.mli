@@ -52,12 +52,16 @@ val capacity : t -> int
 
 val insert : t -> Flow_entry.t -> insert_result
 
-val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
-(** Highest-priority matching entry, if any — answered from the
-    microflow cache when possible. Does not touch flow-entry counters;
-    callers decide when a lookup constitutes a forwarding use. *)
+val classify : t -> in_port:int -> Packet.headers -> Flow_entry.t option
+(** Highest-priority entry matching the header view, if any — answered
+    from the microflow cache when possible. Does not touch flow-entry
+    counters; callers decide when a lookup constitutes a forwarding
+    use. *)
 
-val lookup_uncached : t -> in_port:int -> Packet.t -> Flow_entry.t option
+val lookup : t -> in_port:int -> Packet.t -> Flow_entry.t option
+(** [classify] on [Packet.headers_of p]. *)
+
+val lookup_uncached : t -> in_port:int -> Packet.headers -> Flow_entry.t option
 (** The pure slow path: a full priority scan that bypasses (and never
     populates) the microflow cache. Used by benchmarks, property tests
     and the checker's audit replay. *)

@@ -1,49 +1,19 @@
 open Sdn_net
 
-type key = {
-  in_port : int;
-  dl_src : Mac.t;
-  dl_dst : Mac.t;
-  nw_tos : int;
-  flow : Flow_key.t;
-}
+type key = { in_port : int; headers : Packet.headers }
 
 (* The key must cover every packet field Of_match.matches can consult:
-   in_port, both MACs, the ToS byte, and the 5-tuple. dl_type is
-   implied (a flow key only exists for IPv4 TCP/UDP), and dl_vlan never
-   matches a simulated packet (Packet.t carries no VLAN tag), so two
-   packets with equal keys are indistinguishable to every rule. *)
-let key_of_packet ~in_port (pkt : Packet.t) =
-  match (Packet.flow_key pkt, pkt.Packet.l3) with
-  | Some flow, Packet.Ipv4 (ip, _) ->
-      Some
-        {
-          in_port;
-          dl_src = pkt.Packet.eth.Ethernet.src;
-          dl_dst = pkt.Packet.eth.Ethernet.dst;
-          nw_tos = ip.Ipv4.tos;
-          flow;
-        }
-  | (Some _ | None), _ -> None
+   in_port plus the whole header view (both MACs, ethertype, ToS and
+   the 5-tuple). dl_vlan never matches a simulated packet (frames carry
+   no VLAN tag), so two packets with equal keys are indistinguishable
+   to every rule. Only IPv4 TCP/UDP packets (the ones with ports) are
+   cached. *)
+let key_of_headers ~in_port (h : Packet.headers) =
+  if h.Packet.h_tp_src < 0 then None else Some { in_port; headers = h }
 
-let key_equal a b =
-  a.in_port = b.in_port && a.nw_tos = b.nw_tos
-  && Mac.equal a.dl_src b.dl_src
-  && Mac.equal a.dl_dst b.dl_dst
-  && Flow_key.equal a.flow b.flow
+let key_equal a b = a.in_port = b.in_port && Packet.equal_headers a.headers b.headers
 
-let key_hash k =
-  let h = ref k.in_port in
-  let mix x = h := (!h * 131) + x in
-  mix (Mac.hash k.dl_src);
-  mix (Mac.hash k.dl_dst);
-  mix k.nw_tos;
-  mix (Flow_key.hash k.flow);
-  !h land max_int
-
-let pp_key fmt k =
-  Format.fprintf fmt "port=%d %a->%a tos=%d %a" k.in_port Mac.pp k.dl_src
-    Mac.pp k.dl_dst k.nw_tos Flow_key.pp k.flow
+let key_hash k = ((k.in_port * 131) + Packet.hash_headers k.headers) land max_int
 
 module Key_tbl = Hashtbl.Make (struct
   type t = key

@@ -8,9 +8,9 @@
     hash table from a packet's match-relevant header fields to the
     result of the last slow-path lookup for an identical packet.
 
-    The cache is {e sound by construction}: the key covers every field
-    {!Sdn_openflow.Of_match.matches} can consult (ingress port, both
-    MACs, ToS, and the IPv4 5-tuple), so two packets with equal keys
+    The cache is {e sound by construction}: the key is the ingress port
+    plus the whole {!Sdn_net.Packet.headers} view that
+    {!Sdn_openflow.Of_match.matches} reads, so two packets with equal keys
     are indistinguishable to every possible rule, and {!Flow_table}
     flushes the cache on any table mutation (flow-mod, expiry,
     eviction). Packets without a flow key (ARP, raw L3/L4) never enter
@@ -21,13 +21,12 @@ open Sdn_net
 type key
 (** A packet's match-relevant header projection. *)
 
-val key_of_packet : in_port:int -> Packet.t -> key option
-(** [None] for packets that cannot be cached (no IPv4 TCP/UDP
-    5-tuple). *)
+val key_of_headers : in_port:int -> Packet.headers -> key option
+(** The key of a packet's header view arriving on [in_port]; [None]
+    for packets that cannot be cached (no IPv4 TCP/UDP 5-tuple). *)
 
 val key_equal : key -> key -> bool
 val key_hash : key -> int
-val pp_key : Format.formatter -> key -> unit
 
 type 'v t
 (** A cache mapping keys to ['v] (the flow table stores the full

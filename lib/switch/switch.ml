@@ -342,13 +342,23 @@ let forward_to_outputs t ~in_port outputs frame =
                 ~queue_id:o.Of_action.queue_id frame)
             outputs)
 
-let egress t ~in_port ~actions pkt frame =
-  let rewritten, outputs = Of_action.apply_full actions pkt in
-  let frame =
-    (* Re-encode only if an action rewrote a header. *)
-    if rewritten == pkt then frame else Packet.encode rewritten
-  in
-  forward_to_outputs t ~in_port outputs frame
+(* Forward [frame] per [actions]. Classification never decodes; a
+   structured packet is built only when an action rewrites a header,
+   and the frame is re-encoded only if a rewrite changed it. *)
+let egress t ~in_port ~actions frame =
+  let outputs = Of_action.outputs actions in
+  if not (List.exists Of_action.rewrites_header actions) then
+    forward_to_outputs t ~in_port outputs frame
+  else begin
+    match Packet.decode frame with
+    | Error _ ->
+        t.c.decode_failures <- t.c.decode_failures + 1;
+        t.c.frames_dropped <- t.c.frames_dropped + 1
+    | Ok pkt ->
+        let rewritten = Of_action.apply actions pkt in
+        forward_to_outputs t ~in_port outputs
+          (if rewritten == pkt then frame else Packet.encode rewritten)
+  end
 
 (* ---- Miss handling, per mechanism ---- *)
 
@@ -386,8 +396,8 @@ let miss_packet_granularity t ~in_port frame =
         ~truncate:(Some t.miss_send_len)
         ~extra_cost:t.costs.Costs.buffer_alloc_cost
 
-let miss_flow_granularity t ~in_port pkt frame =
-  match Packet.flow_key pkt with
+let miss_flow_granularity t ~in_port headers frame =
+  match Packet.flow_key_of_headers headers with
   | None ->
       (* Non-flow traffic (e.g. ARP) cannot share a buffer unit; it is
          handled like an unbuffered miss. *)
@@ -423,9 +433,9 @@ let miss_flow_granularity t ~in_port pkt frame =
    alive on its own with an internal L2 learning path — learn the source
    location, forward to the learned destination port or flood. Installed
    rules keep matching in the fast path; only misses come through here. *)
-let miss_standalone t ~in_port pkt frame =
+let miss_standalone t ~in_port headers frame =
   t.c.standalone_frames <- t.c.standalone_frames + 1;
-  let eth = pkt.Packet.eth in
+  let eth = headers.Packet.h_eth in
   Hashtbl.replace t.standalone_table eth.Ethernet.src in_port;
   let outputs =
     if Mac.is_broadcast eth.Ethernet.dst then
@@ -444,14 +454,14 @@ let miss_standalone t ~in_port pkt frame =
    authorization. Flow-granularity chains keep absorbing miss-match
    packets into the (frozen) pool so nothing already accepted is lost;
    everything else is dropped until the session recovers. *)
-let miss_fail_secure t ~in_port:_ pkt frame =
+let miss_fail_secure t ~in_port:_ headers frame =
   let drop () =
     t.c.fail_secure_drops <- t.c.fail_secure_drops + 1;
     t.c.frames_dropped <- t.c.frames_dropped + 1
   in
   match t.mechanism with
   | Flow_granularity -> (
-      match Packet.flow_key pkt with
+      match Packet.flow_key_of_headers headers with
       | None -> drop ()
       | Some key -> (
           let pool = ensure_flow_pool t in
@@ -461,15 +471,15 @@ let miss_fail_secure t ~in_port:_ pkt frame =
           | Buffer_pool.First _ | Buffer_pool.Appended _ -> ()))
   | Packet_granularity | No_buffer -> drop ()
 
-let handle_miss t ~in_port pkt frame =
+let handle_miss t ~in_port headers frame =
   t.c.table_misses <- t.c.table_misses + 1;
   if Session.is_down (the_session t) then
     (* Controller unreachable: degrade per the configured fail mode
        instead of emitting PACKET_INs into a dead channel. *)
     Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_upcall_cost (fun () ->
         match t.config.fail_mode with
-        | Session.Fail_standalone -> miss_standalone t ~in_port pkt frame
-        | Session.Fail_secure -> miss_fail_secure t ~in_port pkt frame)
+        | Session.Fail_standalone -> miss_standalone t ~in_port headers frame
+        | Session.Fail_secure -> miss_fail_secure t ~in_port headers frame)
   else
     (* The kernel side of the upcall (packet copy out of the datapath)
        runs before the transfer crosses the bus. *)
@@ -477,7 +487,7 @@ let handle_miss t ~in_port pkt frame =
         match t.mechanism with
         | No_buffer -> miss_no_buffer t ~in_port frame
         | Packet_granularity -> miss_packet_granularity t ~in_port frame
-        | Flow_granularity -> miss_flow_granularity t ~in_port pkt frame)
+        | Flow_granularity -> miss_flow_granularity t ~in_port headers frame)
 
 let handle_frame t ~in_port frame =
   t.c.frames_received <- t.c.frames_received + 1;
@@ -489,17 +499,17 @@ let handle_frame t ~in_port frame =
   end
   else
   Cpu.submit t.kernel ~work_s:t.costs.Costs.kernel_rx_cost (fun () ->
-      match Packet.decode frame with
+      match Packet.peek_headers frame with
       | Error _ ->
           t.c.decode_failures <- t.c.decode_failures + 1;
           t.c.frames_dropped <- t.c.frames_dropped + 1
-      | Ok pkt -> (
-          match Flow_table.lookup t.table ~in_port pkt with
+      | Ok headers -> (
+          match Flow_table.classify t.table ~in_port headers with
           | Some entry ->
               Flow_entry.touch entry ~now:(Engine.now t.engine)
                 ~bytes:(Bytes.length frame);
-              egress t ~in_port ~actions:entry.Flow_entry.actions pkt frame
-          | None -> handle_miss t ~in_port pkt frame))
+              egress t ~in_port ~actions:entry.Flow_entry.actions frame
+          | None -> handle_miss t ~in_port headers frame))
 
 (* ---- Controller-to-switch message handling ---- *)
 
@@ -511,7 +521,9 @@ let send_error ?xid t ~error_type ~code ~offending =
 
 (* Release buffered frames to the datapath (Algorithm 2 lines 4-10):
    one descriptor-sized bus crossing, then one kernel job per frame, in
-   chain order. A packet-granularity release is a chain of one. *)
+   chain order. A packet-granularity release is a chain of one. The
+   header view is the validity gate here, as in [handle_frame]: a frame
+   that does not parse is counted, not forwarded. *)
 let release_chain t ~actions frames =
   bus_transfer t ~bytes:0 (fun () ->
       let rec forward_next = function
@@ -519,9 +531,9 @@ let release_chain t ~actions frames =
         | frame :: rest ->
             Cpu.submit t.kernel
               ~work_s:t.costs.Costs.release_per_packet_cost (fun () ->
-                (match Packet.decode frame with
+                (match Packet.peek_headers frame with
                 | Error _ -> t.c.decode_failures <- t.c.decode_failures + 1
-                | Ok pkt -> egress t ~in_port:0 ~actions pkt frame);
+                | Ok _ -> egress t ~in_port:0 ~actions frame);
                 forward_next rest)
       in
       forward_next frames)
@@ -593,11 +605,11 @@ let handle_packet_out t (po : Of_packet_out.t) ~offending =
           (* The full frame must cross the bus back to the datapath. *)
           let frame = po.Of_packet_out.data in
           bus_transfer t ~bytes:data_len (fun () ->
-              match Packet.decode frame with
+              match Packet.peek_headers frame with
               | Error _ -> t.c.decode_failures <- t.c.decode_failures + 1
-              | Ok pkt ->
+              | Ok _ ->
                   egress t ~in_port:po.Of_packet_out.in_port
-                    ~actions:po.Of_packet_out.actions pkt frame)
+                    ~actions:po.Of_packet_out.actions frame)
         end
       end
       else

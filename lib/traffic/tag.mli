@@ -18,6 +18,10 @@ val write : t -> Bytes.t -> unit
 val read_payload : Bytes.t -> t option
 (** Parse from a payload buffer. *)
 
+val read_at : Bytes.t -> int -> t option
+(** [read_at buf off] parses the tag stamped at offset [off] of [buf],
+    in place. *)
+
 val read_frame : Bytes.t -> t option
 (** Parse from a full encoded UDP frame (payload at offset 42). *)
 

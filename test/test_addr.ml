@@ -88,6 +88,46 @@ let test_units () =
   Alcotest.(check (float 1e-9)) "pps of 1000B at 100Mbps" 12500.0
     (Units.packets_per_second ~rate_mbps:100.0 ~frame_bytes:1000)
 
+(* Naive oracle for the 16-bit-access MAC codec: one octet at a time,
+   most significant first. *)
+let reference_octets v = List.init 6 (fun i -> (v lsr (8 * (5 - i))) land 0xFF)
+
+let reference_write v buf off =
+  List.iteri (fun i o -> Bytes.set_uint8 buf (off + i) o) (reference_octets v)
+
+let reference_read buf off =
+  List.fold_left (fun acc i -> (acc lsl 8) lor Bytes.get_uint8 buf (off + i)) 0
+    [ 0; 1; 2; 3; 4; 5 ]
+
+(* Random 48-bit values, with broadcast, zero and all-octets-high
+   (every octet >= 0x80) values mixed in. *)
+let gen_mac48 =
+  QCheck.Gen.(
+    let halves = map2 (fun hi lo -> (hi lsl 24) lor lo) (int_bound 0xFFFFFF) (int_bound 0xFFFFFF) in
+    frequency
+      [
+        (1, return 0xFFFF_FFFF_FFFF);
+        (1, return 0);
+        (2, map (fun v -> v lor 0x8080_8080_8080) halves);
+        (6, halves);
+      ])
+
+let prop_mac_codec_matches_octetwise =
+  QCheck.Test.make ~name:"mac read/write agree with the octet-wise reference"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (v, off) -> Printf.sprintf "0x%012x at %d" v off)
+       QCheck.Gen.(pair gen_mac48 (int_bound 4)))
+    (fun (v, off) ->
+      let mac = Mac.of_int64 (Int64.of_int v) in
+      let ours = Bytes.make 10 '\x5a' and theirs = Bytes.make 10 '\x5a' in
+      Mac.write mac ours off;
+      reference_write v theirs off;
+      Bytes.equal ours theirs
+      && Int64.to_int (Mac.to_int64 (Mac.read theirs off)) = v
+      && reference_read ours off = v
+      && Mac.is_broadcast mac = (v = 0xFFFF_FFFF_FFFF))
+
 let suite =
   [
     Alcotest.test_case "mac string roundtrip" `Quick test_mac_string_roundtrip;
@@ -101,4 +141,5 @@ let suite =
     Alcotest.test_case "ip prefix matching" `Quick test_ip_prefix_match;
     Alcotest.test_case "ip bytes roundtrip" `Quick test_ip_bytes_roundtrip;
     Alcotest.test_case "unit conversions" `Quick test_units;
+    QCheck_alcotest.to_alcotest prop_mac_codec_matches_octetwise;
   ]

@@ -199,6 +199,91 @@ let test_counters () =
   Alcotest.(check int) "flow_mods" 2 c.Controller.flow_mods_sent;
   Alcotest.(check int) "pkt_outs" 2 c.Controller.pkt_outs_sent
 
+(* After a switch crash, the controller audits the rejoined switch and
+   re-installs every entry of its flow view the switch no longer
+   reports, in printed (match, priority) order — whatever order they
+   were installed in and however the view hashes them. *)
+let test_reconcile_reinstalls_in_printed_order () =
+  let h = make_harness () in
+  let flow_mod ~src_port ~priority =
+    let key =
+      Flow_key.make ~proto:Ipv4.proto_udp ~src_ip:ip1 ~dst_ip:ip2 ~src_port
+        ~dst_port:9
+    in
+    Of_flow_mod.add ~priority ~match_:(Of_match.of_flow_key key)
+      ~actions:[ Of_action.Output { port = 2; max_len = 0 } ] ()
+  in
+  let installed =
+    [
+      flow_mod ~src_port:4000 ~priority:7;
+      flow_mod ~src_port:1000 ~priority:3;
+      flow_mod ~src_port:3000 ~priority:5;
+      flow_mod ~src_port:2000 ~priority:9;
+      flow_mod ~src_port:1000 ~priority:1;
+    ]
+  in
+  Controller.start h.controller ();
+  Controller.install_proactive h.controller installed;
+  Engine.run h.engine;
+  (* The switch crashed; it answers the first reconnect probe, then
+     reports only the port-3000 entry in the audit. *)
+  Controller.note_switch_disconnect h.controller ~switch:0;
+  h.to_switch := [];
+  Engine.run ~until:(Engine.now h.engine +. 10.0) h.engine;
+  (match
+     List.find_opt
+       (function _, Of_codec.Echo_request _ -> true | _ -> false)
+       (messages h)
+   with
+  | Some (xid, _) -> deliver h (Of_codec.Echo_reply Bytes.empty) ~xid
+  | None -> Alcotest.fail "expected a reconnect probe");
+  h.to_switch := [];
+  Engine.run ~until:(Engine.now h.engine +. 1.0) h.engine;
+  let survivor = List.nth installed 2 in
+  (match
+     List.find_opt
+       (function _, Of_codec.Stats_request _ -> true | _ -> false)
+       (messages h)
+   with
+  | Some (xid, _) ->
+      deliver h ~xid
+        (Of_codec.Stats_reply
+           (Of_stats.Flow_reply
+              [
+                {
+                  Of_stats.table_id = 0;
+                  match_ = survivor.Of_flow_mod.match_;
+                  duration_sec = 0l;
+                  duration_nsec = 0l;
+                  priority = survivor.Of_flow_mod.priority;
+                  idle_timeout = survivor.Of_flow_mod.idle_timeout;
+                  hard_timeout = survivor.Of_flow_mod.hard_timeout;
+                  cookie = survivor.Of_flow_mod.cookie;
+                  packet_count = 0L;
+                  byte_count = 0L;
+                  actions = survivor.Of_flow_mod.actions;
+                };
+              ]))
+  | None -> Alcotest.fail "expected a reconciliation audit");
+  h.to_switch := [];
+  Engine.run ~until:(Engine.now h.engine +. 0.004) h.engine;
+  let printed (fm : Of_flow_mod.t) =
+    Format.asprintf "%a/%d" Of_match.pp fm.Of_flow_mod.match_
+      fm.Of_flow_mod.priority
+  in
+  let reinstalled =
+    List.filter_map
+      (function _, Of_codec.Flow_mod fm -> Some (printed fm) | _ -> None)
+      (messages h)
+  in
+  let expected =
+    List.filter (fun fm -> fm != survivor) installed
+    |> List.map printed |> List.sort String.compare
+  in
+  Alcotest.(check int) "four entries missing" 4 (List.length expected);
+  Alcotest.(check (list string)) "re-installed in printed-key order" expected
+    reinstalled
+
 let suite =
   [
     Alcotest.test_case "buffered request gets flow_mod + small packet_out" `Quick
@@ -214,4 +299,6 @@ let suite =
     Alcotest.test_case "echo reply" `Quick test_echo_reply;
     Alcotest.test_case "handshake on start" `Quick test_start_handshake;
     Alcotest.test_case "counters" `Quick test_counters;
+    Alcotest.test_case "reconciliation re-installs in printed-key order" `Quick
+      test_reconcile_reinstalls_in_printed_order;
   ]

@@ -101,7 +101,8 @@ let test_capacity_eviction () =
   | Flow_table.Evicted victim ->
       (* The evicted entry is the untouched one (flow 1). *)
       Alcotest.(check bool) "victim is LRU" true
-        (Of_match.matches victim.Flow_entry.match_ ~in_port:1 (udp_pkt ~src_port:1))
+        (Of_match.matches victim.Flow_entry.match_ ~in_port:1
+           (Packet.headers_of (udp_pkt ~src_port:1)))
   | _ -> Alcotest.fail "expected eviction");
   Alcotest.(check int) "length stays at capacity" 3 (Flow_table.length table);
   Alcotest.(check int) "eviction counted" 1 (Flow_table.evictions table);
@@ -331,7 +332,10 @@ let prop_microflow_equivalence =
               let pkt = udp_pkt ~src_port:p in
               let a = Flow_table.lookup cached ~in_port:1 pkt in
               let b = Flow_table.lookup plain ~in_port:1 pkt in
-              let c = Flow_table.lookup_uncached cached ~in_port:1 pkt in
+              let c =
+                Flow_table.lookup_uncached cached ~in_port:1
+                  (Packet.headers_of pkt)
+              in
               (match (a, b) with
               | None, None -> c = None
               | Some ea, Some eb ->
@@ -420,10 +424,10 @@ module Model = struct
     t.rules <- kept;
     gone
 
-  let lookup t ~in_port pkt =
+  let lookup t ~in_port headers =
     List.fold_left
       (fun best (r : Flow_entry.t) ->
-        if not (Of_match.matches r.Flow_entry.match_ ~in_port pkt) then best
+        if not (Of_match.matches r.Flow_entry.match_ ~in_port headers) then best
         else
           match best with
           | Some (b : Flow_entry.t)
@@ -549,10 +553,10 @@ let prop_flow_table_model =
             same_list (Flow_table.expire table ~now:!now)
               (Model.expire model ~now:!now)
         | Lookup { in_port; src_port } -> (
-            let pkt = udp_pkt ~src_port in
+            let headers = Packet.headers_of (udp_pkt ~src_port) in
             match
-              (Flow_table.lookup_uncached table ~in_port pkt,
-               Model.lookup model ~in_port pkt)
+              (Flow_table.lookup_uncached table ~in_port headers,
+               Model.lookup model ~in_port headers)
             with
             | None, None -> true
             | Some a, Some b ->
@@ -562,7 +566,7 @@ let prop_flow_table_model =
                 let ok =
                   a.Flow_entry.priority = b.Flow_entry.priority
                   && List.memq a model.Model.rules
-                  && Of_match.matches a.Flow_entry.match_ ~in_port pkt
+                  && Of_match.matches a.Flow_entry.match_ ~in_port headers
                 in
                 Flow_entry.touch a ~now:!now ~bytes:100;
                 ok

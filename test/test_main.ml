@@ -44,4 +44,5 @@ let () =
       ("analyze", Test_analyze.suite);
       ("model", Test_model.suite);
       ("validate", Test_validate.suite);
+      ("alloc", Test_alloc.suite);
     ]

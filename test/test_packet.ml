@@ -119,14 +119,10 @@ let test_peek_headers_on_truncated () =
   | Ok headers -> (
       Alcotest.(check bool) "eth src" true
         (Mac.equal headers.Packet.h_eth.Ethernet.src mac1);
-      (match headers.Packet.h_ipv4 with
-      | Some ip -> Alcotest.(check bool) "dst ip" true (Ip.equal ip.Ipv4.dst ip2)
-      | None -> Alcotest.fail "expected ipv4 header");
-      match headers.Packet.h_l4_ports with
-      | Some (src, dst) ->
-          Alcotest.(check int) "src port" 777 src;
-          Alcotest.(check int) "dst port" 9 dst
-      | None -> Alcotest.fail "expected ports")
+      Alcotest.(check int) "ipv4 proto" Ipv4.proto_udp headers.Packet.h_nw_proto;
+      Alcotest.(check bool) "dst ip" true (Ip.equal headers.Packet.h_nw_dst ip2);
+      Alcotest.(check int) "src port" 777 headers.Packet.h_tp_src;
+      Alcotest.(check int) "dst port" 9 headers.Packet.h_tp_dst)
 
 let test_peek_flow_key_matches_full () =
   let pkt = sample_udp () in

@@ -12,7 +12,8 @@
       aggregate claims next to the paper's reported numbers.
 
    Usage:
-     dune exec bench/main.exe                 # micro + all figures
+     dune exec bench/main.exe                 # micro + figures + ablations
+     dune exec bench/main.exe -- all          # the same
      dune exec bench/main.exe -- micro        # micro-benchmarks only
      dune exec bench/main.exe -- figures      # all figures only
      dune exec bench/main.exe -- fig5         # one figure
@@ -21,11 +22,12 @@
      dune exec bench/main.exe -- json [path]  # machine-readable snapshot
                                               # (default BENCH_pr12.json)
 
-   The json snapshot also times a small end-to-end sweep at
-   --jobs 1/2/4 and records the parallel speedups, so the regression
-   gate tracks the Task_pool scaling factor alongside the micro
-   subjects, and the flow table's install-cost scaling from 1000 to
-   4000 rules, which CI caps to keep inserts linear.
+   The json snapshot holds every micro subject's ns/run and
+   minor-words/run, the microflow cache's lookup speedup, a small
+   end-to-end sweep timed at --jobs 1/2/4 with its parallel speedups
+   (the Task_pool scaling factor), a scaled-down massive pipeline, and
+   the flow table's install-cost scaling from 1000 to 4000 rules,
+   which CI caps to keep inserts linear.
 *)
 
 open Bechamel
@@ -189,7 +191,7 @@ let micro_tests () =
               ~resend_timeout:1e9 ~max_resends:0 ()
           in
           fun () ->
-            match Sdn_switch.Buffer_pool.add pool sample_frame with
+            match Sdn_switch.Buffer_pool.add pool ~in_port:1 sample_frame with
             | Sdn_switch.Buffer_pool.First id ->
                 ignore (Sdn_switch.Buffer_pool.take pool id);
                 (* Drain the engine so reclaim events do not pile up. *)
@@ -236,9 +238,12 @@ let micro_tests () =
           in
           let key = Option.get (Sdn_net.Packet.flow_key sample_packet) in
           fun () ->
-            match Sdn_switch.Buffer_pool.add pool ~key sample_frame with
+            match
+              Sdn_switch.Buffer_pool.add pool ~key ~in_port:1 sample_frame
+            with
             | Sdn_switch.Buffer_pool.First id ->
-                ignore (Sdn_switch.Buffer_pool.add pool ~key sample_frame);
+                ignore
+                  (Sdn_switch.Buffer_pool.add pool ~key ~in_port:1 sample_frame);
                 ignore (Sdn_switch.Buffer_pool.take pool id);
                 Sdn_sim.Engine.run engine
             | Sdn_switch.Buffer_pool.Appended _ | Sdn_switch.Buffer_pool.No_space
@@ -405,7 +410,8 @@ let micro_tests () =
           fun () ->
             List.iter
               (fun fm ->
-                ignore (Sdn_switch.Buffer_pool.add pool sample_frame);
+                ignore
+                  (Sdn_switch.Buffer_pool.add pool ~in_port:1 sample_frame);
                 ignore
                   (Sdn_switch.Flow_table.insert table
                      (Sdn_switch.Flow_entry.of_flow_mod fm ~now:0.0)))
@@ -573,93 +579,6 @@ let sweep_metrics () =
   in
   (absolute, speedups)
 
-(* ---- Event-queue scaling: the hierarchical timer wheel against the
-   indexed binary heap at extreme pending counts.
-
-   Each trial fills a queue with [pending] events at deterministic
-   pseudo-random times over a one-hour horizon, then drains it dry —
-   the schedule+dispatch churn an extreme-scale run puts through the
-   engine.  Per-event nanoseconds are recorded per backend and per
-   size, and the portable gate pins the derived wheel-over-heap
-   speedup, which must hold >= 2x at one million pending (the wheel's
-   O(1) insert vs the heap's O(log n) sift). *)
-
-type qev = { qt : float; qseq : int; mutable qidx : int }
-
-let queue_events ~pending =
-  let rng = Sdn_sim.Rng.of_int 42 in
-  Array.init pending (fun i ->
-      { qt = Sdn_sim.Rng.float rng 3600.0; qseq = i; qidx = -1 })
-
-let heap_churn events =
-  let n = Array.length events in
-  let heap =
-    Sdn_sim.Heap.create ~capacity:(n + 1)
-      ~set_index:(fun e i -> e.qidx <- i)
-      ~cmp:(fun a b ->
-        let c = Float.compare a.qt b.qt in
-        if c <> 0 then c else Int.compare a.qseq b.qseq)
-      ()
-  in
-  let t0 = Monotonic_clock.get () in
-  for i = 0 to n - 1 do
-    Sdn_sim.Heap.push heap events.(i)
-  done;
-  while not (Sdn_sim.Heap.is_empty heap) do
-    ignore (Sdn_sim.Heap.pop_exn heap)
-  done;
-  Monotonic_clock.get () -. t0
-
-let wheel_churn events =
-  let n = Array.length events in
-  let wheel =
-    Sdn_sim.Timer_wheel.create
-      ~time:(fun e -> e.qt)
-      ~seq:(fun e -> e.qseq)
-      ~cancelled:(fun _ -> false)
-      ()
-  in
-  let t0 = Monotonic_clock.get () in
-  for i = 0 to n - 1 do
-    Sdn_sim.Timer_wheel.add wheel events.(i)
-  done;
-  let continue = ref true in
-  while !continue do
-    if Sdn_sim.Timer_wheel.pop wheel = None then continue := false
-  done;
-  Monotonic_clock.get () -. t0
-
-let queue_metrics () =
-  (* Best-of shrinks with size: the big trials are stable (millions of
-     operations) and expensive enough that repeats would dominate the
-     bench run. *)
-  let best rounds churn events =
-    let best = ref Float.infinity in
-    for _ = 1 to rounds do
-      let dt = churn events in
-      if Float.compare dt !best < 0 then best := dt
-    done;
-    !best
-  in
-  let sizes =
-    [ ("10k", 10_000, 3); ("100k", 100_000, 3); ("1m", 1_000_000, 2);
-      ("10m", 10_000_000, 1) ]
-  in
-  List.concat_map
-    (fun (tag, pending, rounds) ->
-      let events = queue_events ~pending in
-      let heap_ns = best rounds heap_churn events in
-      let wheel_ns = best rounds wheel_churn events in
-      let per = 2.0 *. float_of_int pending in
-      [
-        (Printf.sprintf "event-queue/heap/%s-pending/ns-per-event" tag,
-         heap_ns /. per);
-        (Printf.sprintf "event-queue/wheel/%s-pending/ns-per-event" tag,
-         wheel_ns /. per);
-        (Printf.sprintf "derived/wheel_speedup_%s" tag, heap_ns /. wheel_ns);
-      ])
-    sizes
-
 (* ---- Flow-table install scaling: ns per insert while filling an empty
    table with 4000 distinct exact rules, over the same at 1000, both
    timed in this process so the host cancels out of the ratio.  Linear
@@ -726,35 +645,23 @@ let run_json path =
     | Some _, Some _ | Some _, None | None, Some _ | None, None -> None
   in
   let derived =
-    List.filter_map
-      (fun (name, v) -> Option.map (fun v -> (name, v)) v)
-      [
-        (* How much faster the microflow fast path answers a warm
-           lookup than the full classification on a 1k-entry table. *)
-        ( "derived/flow_table_cache_speedup",
-          ratio
-            (find_metric ns "flow-table/lookup-uncached-1k-mixed")
-            (find_metric ns "flow-table/lookup-cached-1k-mixed") );
-        (* Allocation reduction of the scratch encoder on the
-           dominant PACKET_IN shape (full frame attached). *)
-        ( "derived/pkt_in_encode_alloc_speedup",
-          ratio
-            (find_metric words "openflow/encode-pkt_in-no-buffer")
-            (find_metric words "openflow/encode-pkt_in-no-buffer-scratch") );
-        ( "derived/flow_mod_encode_alloc_speedup",
-          ratio
-            (find_metric words "openflow/encode-flow_mod")
-            (find_metric words "openflow/encode-flow_mod-scratch") );
-      ]
+    (* How much faster the microflow fast path answers a warm lookup
+       than the full classification on a 1k-entry table. *)
+    match
+      ratio
+        (find_metric ns "flow-table/lookup-uncached-1k-mixed")
+        (find_metric ns "flow-table/lookup-cached-1k-mixed")
+    with
+    | Some v -> [ ("derived/flow_table_cache_speedup", v) ]
+    | None -> []
   in
   let sweep_absolute, sweep_speedups = sweep_metrics () in
-  let queue = queue_metrics () in
   let massive = massive_metrics () in
   let insert_scaling = insert_scaling_metrics () in
   let metrics =
     List.map (fun (n, v) -> (n ^ "/ns", v)) ns
     @ List.map (fun (n, v) -> (n ^ "/minor-words", v)) words
-    @ sweep_absolute @ derived @ sweep_speedups @ queue @ massive
+    @ sweep_absolute @ derived @ sweep_speedups @ massive
     @ insert_scaling
   in
   let oc = open_out path in
@@ -772,7 +679,7 @@ let run_json path =
       Printf.fprintf oc "  }\n}\n");
   List.iter
     (fun (name, v) -> Printf.printf "%-60s %14.3f\n" name v)
-    (derived @ sweep_speedups @ queue @ massive @ insert_scaling);
+    (derived @ sweep_speedups @ massive @ insert_scaling);
   Printf.printf "wrote %d metrics to %s\n" (List.length metrics) path
 
 (* ---- Figure harness ---- *)
@@ -803,5 +710,7 @@ let () =
   | [ _; id ] -> run_one_figure id ()
   | [ _; id; reps ] -> run_one_figure id ~reps:(int_of_string reps) ()
   | _ ->
-      prerr_endline "usage: main.exe [all|micro|figures [reps]|figN [reps]]";
+      prerr_endline
+        "usage: main.exe [all|micro|figures [reps]|figN [reps]|ablations|json \
+         [path]]";
       exit 2

@@ -196,30 +196,6 @@ let jobs_arg =
            re-runs a sampled task sequentially and compares the results \
            field for field.")
 
-let event_queue_conv =
-  let parse = function
-    | "heap" -> Ok `Heap
-    | "wheel" -> Ok `Wheel
-    | s -> Error (`Msg (Printf.sprintf "unknown event queue %S" s))
-  in
-  let print fmt q =
-    Format.pp_print_string fmt
-      (match q with `Heap -> "heap" | `Wheel -> "wheel")
-  in
-  Arg.conv (parse, print)
-
-let event_queue_arg =
-  Arg.(
-    value
-    & opt event_queue_conv `Heap
-    & info [ "event-queue" ] ~docv:"QUEUE"
-        ~doc:
-          "Pending-event store for the simulation engine: $(b,heap) (the \
-           default index-tracked binary heap) or $(b,wheel) (the \
-           hierarchical timer wheel built for extreme pending-event \
-           counts). Both dispatch in identical order, so this never \
-           changes results — only runtime.")
-
 let check_arg =
   Arg.(
     value & flag
@@ -282,7 +258,7 @@ let workload_arg =
 
 let run_cmd =
   let run mechanism buffer rate seed workload faults crashes watermark
-      buf_policy echo_interval echo_misses fail_mode check jobs event_queue =
+      buf_policy echo_interval echo_misses fail_mode check jobs =
     let faults =
       {
         faults with
@@ -305,7 +281,6 @@ let run_cmd =
         fail_mode;
         check;
         jobs;
-        event_queue;
       }
     in
     let result = Experiment.run config in
@@ -317,7 +292,7 @@ let run_cmd =
       const run $ mechanism_arg $ buffer_arg $ rate_arg $ seed_arg
       $ workload_arg $ faults_arg $ crash_arg $ watermark_arg
       $ buf_policy_arg $ echo_interval_arg $ echo_misses_arg $ fail_mode_arg
-      $ check_arg $ jobs_arg $ event_queue_arg)
+      $ check_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "run"
@@ -609,15 +584,12 @@ let massive_cmd =
             "Independent experiment shards the pipeline flows are split \
              into (the parallel grain for $(b,--jobs)).")
   in
-  let run flows shards seed event_queue check jobs =
+  let run flows shards seed check jobs =
     (* Deterministic counters go to stdout (CI byte-compares them
-       across --jobs widths and queue backends); the wall-clock rate
-       goes to stderr only. *)
+       across --jobs widths); the wall-clock rate goes to stderr only. *)
     let now () = Int64.to_float (Monotonic_clock.now ()) in
     let t0 = now () in
-    let pl =
-      Massive.run_pipeline ~flows ~shards ~event_queue ~check ~jobs ~seed ()
-    in
+    let pl = Massive.run_pipeline ~flows ~shards ~check ~jobs ~seed () in
     let pl_ns = now () -. t0 in
     Printf.printf
       "massive: pipeline shards=%d flows=%d packets_in=%d packets_out=%d \
@@ -626,10 +598,9 @@ let massive_cmd =
       pl.Massive.pl_packets_out pl.Massive.pl_flows_completed
       pl.Massive.pl_sim_events;
     Printf.eprintf
-      "massive: pipeline %.2f Mevents/s (wall %.3f s, %d jobs, %s queue)\n"
+      "massive: pipeline %.2f Mevents/s (wall %.3f s, %d jobs)\n"
       (float_of_int pl.Massive.pl_sim_events /. pl_ns *. 1e3)
-      (pl_ns /. 1e9) jobs
-      (match event_queue with `Heap -> "heap" | `Wheel -> "wheel");
+      (pl_ns /. 1e9) jobs;
     List.iter (Printf.eprintf "%s\n") pl.Massive.pl_check_reports;
     if pl.Massive.pl_check_violations > 0 then begin
       Printf.eprintf "massive: %d invariant violations\n"
@@ -639,8 +610,7 @@ let massive_cmd =
   in
   let term =
     Term.(
-      const run $ flows_arg $ shards_arg $ seed_arg $ event_queue_arg
-      $ check_arg $ jobs_arg)
+      const run $ flows_arg $ shards_arg $ seed_arg $ check_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "massive"

@@ -47,7 +47,7 @@ type t = {
   egress_bandwidth_bps : float option;
   check : bool;
   jobs : int;
-  event_queue : Sdn_sim.Engine.queue_kind;
+  event_queue : [ `Heap ];
   switch_costs : Sdn_switch.Costs.t;
   controller_costs : Sdn_controller.Costs.t;
 }

@@ -13,7 +13,7 @@ type pipeline_stats = {
   pl_check_reports : string list;
 }
 
-let shard_cells ~flows ~shards ~event_queue ~check ~seed =
+let shard_cells ~flows ~shards ~check ~seed =
   let shards = max 0 (min shards flows) in
   List.init shards (fun i ->
       ( Printf.sprintf "massive/shard-%d" i,
@@ -29,14 +29,13 @@ let shard_cells ~flows ~shards ~event_queue ~check ~seed =
           buffer_capacity = 4096;
           flow_table_capacity = 65536;
           check;
-          event_queue;
         } ))
 
-let run_pipeline ?(flows = 1_000_000) ?(shards = 20) ?(event_queue = `Heap)
-    ?(check = false) ?(jobs = 1) ?(seed = 1) () =
+let run_pipeline ?(flows = 1_000_000) ?(shards = 20) ?(check = false)
+    ?(jobs = 1) ?(seed = 1) () =
   if flows <= 0 then invalid_arg "Massive.run_pipeline: non-positive flows";
   if shards <= 0 then invalid_arg "Massive.run_pipeline: non-positive shards";
-  let cells = shard_cells ~flows ~shards ~event_queue ~check ~seed in
+  let cells = shard_cells ~flows ~shards ~check ~seed in
   let results = Exec.run ~jobs cells in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
   {

@@ -29,7 +29,6 @@ type pipeline_stats = {
 val shard_cells :
   flows:int ->
   shards:int ->
-  event_queue:Sdn_sim.Engine.queue_kind ->
   check:bool ->
   seed:int ->
   (string * Config.t) list
@@ -41,7 +40,6 @@ val shard_cells :
 val run_pipeline :
   ?flows:int ->
   ?shards:int ->
-  ?event_queue:Sdn_sim.Engine.queue_kind ->
   ?check:bool ->
   ?jobs:int ->
   ?seed:int ->

@@ -69,7 +69,7 @@ let switch_config ~datapath_id (config : Config.t) =
 
 let build ?(n_switches = 1) (config : Config.t) =
   if n_switches < 1 then invalid_arg "Scenario.build: need at least one switch";
-  let engine = Engine.create ~queue:config.Config.event_queue () in
+  let engine = Engine.create () in
   let root_rng = Rng.of_int config.Config.seed in
   let traffic_rng = Rng.split root_rng in
   let capture = Capture.create ~encap_overhead:Calibration.encap_overhead_bytes () in

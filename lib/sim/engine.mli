@@ -5,21 +5,16 @@
     running an event may schedule further events. Ties are broken by
     insertion order, so the simulation is fully deterministic.
 
-    The queue has two interchangeable backends. The default is an
-    index-tracked heap ({!Heap}): cancelling an event removes it in
-    O(log n) instead of leaving a tombstone to be reaped at pop time,
-    so heavy cancel churn (echo keepalives, backoff timers) neither
-    grows the queue nor skews {!pending}. The alternative is a
-    hierarchical timer wheel ({!Timer_wheel}) with O(1) schedule and
-    amortized-O(1) dispatch, built for pending sets in the millions.
-    Both dispatch in exactly the same [(time, seq)] order, so the
-    choice never changes simulation output — only its speed. Events
-    that share a timestamp are dispatched as one batch
+    The queue is an index-tracked binary heap ({!Heap}): cancelling an
+    event removes it in O(log n) instead of leaving a tombstone to be
+    reaped at pop time, so heavy cancel churn (echo keepalives,
+    backoff timers) neither grows the queue nor skews {!pending}.
+    Events that share a timestamp are dispatched as one batch
     ({!step_batch}).
 
     Times are in seconds (floats). A typical experiment run in this
-    repository covers a few simulated seconds and a few hundred
-    thousand events. *)
+    repository covers a few simulated seconds, a few hundred thousand
+    events, with at most tens of thousands pending at once. *)
 
 type t
 (** A simulation engine (clock + event queue). *)
@@ -29,14 +24,8 @@ type handle
     flow-granularity buffer's re-request timeout is cancelled when the
     controller answers in time). *)
 
-type queue_kind = [ `Heap | `Wheel ]
-(** Pending-event store: [`Heap] is the index-tracked binary heap,
-    [`Wheel] the hierarchical timer wheel. Identical dispatch order;
-    see DESIGN for the performance trade-off. *)
-
-val create : ?now:float -> ?queue:queue_kind -> unit -> t
-(** Fresh engine with the clock at [now] (default [0.]) and the given
-    queue backend (default [`Heap]). *)
+val create : ?now:float -> unit -> t
+(** Fresh engine with the clock at [now] (default [0.]). *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
@@ -50,9 +39,8 @@ val schedule : t -> delay:float -> (unit -> unit) -> handle
     A negative [delay] raises [Invalid_argument]. *)
 
 val cancel : handle -> unit
-(** Prevent the event from firing and remove it from the queue —
-    O(log n) eager removal on the heap backend, O(1) lazy drop on the
-    wheel. Cancelling an already-fired or already-cancelled event is
+(** Prevent the event from firing and remove it from the queue, in
+    O(log n). Cancelling an already-fired or already-cancelled event is
     a no-op. *)
 
 val is_cancelled : handle -> bool

@@ -12,6 +12,7 @@ type slot = {
   mutable state : state;
   mutable key : Flow_key.t option;  (** [Some] for a flow's chain *)
   mutable first : Bytes.t;
+  mutable in_port : int;  (** ingress port of [first], for re-requests *)
   mutable appended_rev : Bytes.t list;  (** later frames, newest first *)
   mutable packets : int;
   mutable held_at : float;
@@ -35,7 +36,7 @@ type t = {
   resend_jitter : float;
   mutable max_resends : int;
   rng : Rng.t option;
-  on_resend : buffer_id:int32 -> first_frame:Bytes.t -> unit;
+  on_resend : buffer_id:int32 -> in_port:int -> first_frame:Bytes.t -> unit;
   slots : slot array;
   mutable free : int list;
   by_key : slot Flow_key.Table.t;  (** flow -> its held unit *)
@@ -75,7 +76,7 @@ let generation_of_id id =
 let create engine ?check ?policy ?(pool_name = "pool") ~capacity ~reclaim_lag
     ~resend_timeout ?(resend_multiplier = 1.0) ?(resend_cap = infinity)
     ?(resend_jitter = 0.0) ?rng ~max_resends
-    ?(on_resend = fun ~buffer_id:_ ~first_frame:_ -> ()) () =
+    ?(on_resend = fun ~buffer_id:_ ~in_port:_ ~first_frame:_ -> ()) () =
   if capacity <= 0 || capacity > 0xFFFF then
     invalid_arg "Buffer_pool.create: capacity out of range";
   if resend_multiplier < 1.0 then
@@ -101,7 +102,7 @@ let create engine ?check ?policy ?(pool_name = "pool") ~capacity ~reclaim_lag
     slots =
       Array.init capacity (fun index ->
           { index; generation = 0; state = Free; key = None;
-            first = Bytes.empty; appended_rev = []; packets = 0;
+            first = Bytes.empty; in_port = 0; appended_rev = []; packets = 0;
             held_at = 0.0; resend_count = 0; timer = None });
     free = List.init capacity (fun i -> i);
     by_key = Flow_key.Table.create 64;
@@ -216,14 +217,15 @@ let rec arm_resend t (slot : slot) ~generation =
             else begin
               slot.resend_count <- slot.resend_count + 1;
               t.resends <- t.resends + 1;
-              t.on_resend ~buffer_id:(id_of slot) ~first_frame:slot.first;
+              t.on_resend ~buffer_id:(id_of slot) ~in_port:slot.in_port
+                ~first_frame:slot.first;
               arm_resend t slot ~generation
             end
         | Held | Free | Reclaiming -> ())
   in
   slot.timer <- Some handle
 
-let allocate t ~key frame =
+let allocate t ~key ~in_port frame =
   (* Policy admission first: the sharing discipline may refuse even
      when a physical slot is free (its share is exhausted), or grant a
      unit the static quota would have refused. *)
@@ -237,6 +239,7 @@ let allocate t ~key frame =
       slot.state <- Held;
       slot.key <- key;
       slot.first <- frame;
+      slot.in_port <- in_port;
       slot.packets <- 1;
       slot.held_at <- Engine.now t.engine;
       slot.resend_count <- 0;
@@ -266,7 +269,7 @@ let held_unit t key =
   | Some key -> Flow_key.Table.find_opt t.by_key key
   | None -> None
 
-let add t ?key frame =
+let add t ?key ~in_port frame =
   match held_unit t key with
   | Some slot ->
       slot.appended_rev <- frame :: slot.appended_rev;
@@ -274,7 +277,7 @@ let add t ?key frame =
       t.packets <- t.packets + 1;
       note t Append slot;
       Appended (id_of slot)
-  | None -> allocate t ~key frame
+  | None -> allocate t ~key ~in_port frame
 
 let take t id =
   let i = slot_of_id id in

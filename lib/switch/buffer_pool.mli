@@ -64,11 +64,12 @@ val create :
   ?resend_jitter:float ->
   ?rng:Sdn_sim.Rng.t ->
   max_resends:int ->
-  ?on_resend:(buffer_id:int32 -> first_frame:Bytes.t -> unit) ->
+  ?on_resend:(buffer_id:int32 -> in_port:int -> first_frame:Bytes.t -> unit) ->
   unit ->
   t
-(** [on_resend] (default: nothing) is invoked by the timeout machinery;
-    the switch wires it to PACKET_IN regeneration.
+(** [on_resend] (default: nothing) is invoked by the timeout machinery
+    with the unit's id, first frame and that frame's ingress port; the
+    switch wires it to PACKET_IN regeneration.
 
     With [check] armed, every allocation, append, release and expiry is
     reported to the invariant checker under [pool_name] (default
@@ -98,12 +99,14 @@ val set_backoff :
     delay; the new policy applies from each unit's next arming. A
     multiplier below 1 is ignored. *)
 
-val add : t -> ?key:Flow_key.t -> Bytes.t -> add_result
+val add : t -> ?key:Flow_key.t -> in_port:int -> Bytes.t -> add_result
 (** Algorithm 1, lines 5-11. With [key], the frame is chained onto the
     flow's unit if one is held; without, it always gets a unit of its
-    own. While frozen, a [First] allocation does {e not} arm the timer
-    — the caller also refrains from sending the PACKET_IN, so the chain
-    just accumulates until {!resume}. *)
+    own. A new unit remembers [in_port], the port its first frame
+    arrived on, for its re-requests. While frozen, a [First]
+    allocation does {e not} arm the timer — the caller also refrains
+    from sending the PACKET_IN, so the chain just accumulates until
+    {!resume}. *)
 
 val take : t -> int32 -> take_result
 (** Algorithm 2, lines 2-10: release every chained frame; the unit

@@ -213,12 +213,12 @@ let rec ensure_flow_pool t =
           ~resend_cap:t.config.resend_cap
           ~resend_jitter:t.config.resend_jitter ~rng:t.resend_rng
           ~max_resends:t.config.max_resends
-          ~on_resend:(fun ~buffer_id ~first_frame ->
+          ~on_resend:(fun ~buffer_id ~in_port ~first_frame ->
             t.c.pkt_in_resends <- t.c.pkt_in_resends + 1;
             note_pkt_in t ~pool:pool_name ~id:buffer_id ~resend:true;
             (* The repeated request retraces the miss path: bus, then
                userspace, then the control link (Algorithm 1 line 13). *)
-            send_pkt_in t ~buffer_id ~frame:first_frame ~in_port:1
+            send_pkt_in t ~buffer_id ~frame:first_frame ~in_port
               ~truncate:(Some t.miss_send_len) ~extra_cost:0.0)
           ()
       in
@@ -388,7 +388,7 @@ let miss_packet_granularity t ~in_port frame =
       ~capacity:(Buffer_pool.capacity pool)
   then shed_overload t
   else
-  match Buffer_pool.add pool frame with
+  match Buffer_pool.add pool ~in_port frame with
   | Buffer_pool.No_space -> miss_no_buffer t ~in_port frame
   | Buffer_pool.First buffer_id | Buffer_pool.Appended buffer_id ->
       note_pkt_in t ~pool:(Buffer_pool.name pool) ~id:buffer_id ~resend:false;
@@ -412,7 +412,7 @@ let miss_flow_granularity t ~in_port headers frame =
         && not (Buffer_pool.has_chain pool ~key)
       then shed_overload t
       else
-      match Buffer_pool.add pool ~key frame with
+      match Buffer_pool.add pool ~key ~in_port frame with
       | Buffer_pool.No_space -> miss_no_buffer t ~in_port frame
       | Buffer_pool.First buffer_id ->
           note_pkt_in t ~pool:(Buffer_pool.name pool) ~id:buffer_id
@@ -454,7 +454,7 @@ let miss_standalone t ~in_port headers frame =
    authorization. Flow-granularity chains keep absorbing miss-match
    packets into the (frozen) pool so nothing already accepted is lost;
    everything else is dropped until the session recovers. *)
-let miss_fail_secure t ~in_port:_ headers frame =
+let miss_fail_secure t ~in_port headers frame =
   let drop () =
     t.c.fail_secure_drops <- t.c.fail_secure_drops + 1;
     t.c.frames_dropped <- t.c.frames_dropped + 1
@@ -466,7 +466,7 @@ let miss_fail_secure t ~in_port:_ headers frame =
       | Some key -> (
           let pool = ensure_flow_pool t in
           if not (Buffer_pool.is_frozen pool) then Buffer_pool.freeze pool;
-          match Buffer_pool.add pool ~key frame with
+          match Buffer_pool.add pool ~key ~in_port frame with
           | Buffer_pool.No_space -> drop ()
           | Buffer_pool.First _ | Buffer_pool.Appended _ -> ()))
   | Packet_granularity | No_buffer -> drop ()

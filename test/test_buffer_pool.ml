@@ -21,7 +21,7 @@ let make_packet ?(capacity = 4) ?(expiry = 1.0) ?(reclaim = 0.01) engine =
     ~resend_timeout:expiry ~max_resends:0 ()
 
 let make ?(capacity = 4) ?(reclaim = 0.001) ?(timeout = 0.05) ?(max_resends = 3)
-    ?(on_resend = fun ~buffer_id:_ ~first_frame:_ -> ()) engine =
+    ?(on_resend = fun ~buffer_id:_ ~in_port:_ ~first_frame:_ -> ()) engine =
   Buffer_pool.create engine ~capacity ~reclaim_lag:reclaim
     ~resend_timeout:timeout ~max_resends ~on_resend ()
 
@@ -35,7 +35,7 @@ let first = function
 let test_alloc_take () =
   let engine = Engine.create () in
   let pool = make_packet engine in
-  let id = first (Buffer_pool.add pool (frame 1)) in
+  let id = first (Buffer_pool.add pool ~in_port:1 (frame 1)) in
   Alcotest.(check int) "in use" 1 (Buffer_pool.units_in_use pool);
   (match Buffer_pool.take pool id with
   | Buffer_pool.Taken fs -> Alcotest.(check (list bytes)) "frame" [ frame 1 ] fs
@@ -49,9 +49,9 @@ let test_alloc_take () =
 let test_exhaustion_and_reclaim () =
   let engine = Engine.create () in
   let pool = make_packet ~capacity:2 engine in
-  let id1 = first (Buffer_pool.add pool (frame 1)) in
-  ignore (first (Buffer_pool.add pool (frame 2)));
-  (match Buffer_pool.add pool (frame 3) with
+  let id1 = first (Buffer_pool.add pool ~in_port:1 (frame 1)) in
+  ignore (first (Buffer_pool.add pool ~in_port:1 (frame 2)));
+  (match Buffer_pool.add pool ~in_port:1 (frame 3) with
   | Buffer_pool.No_space -> ()
   | _ -> Alcotest.fail "expected a full pool");
   Alcotest.(check int) "failure counted" 1 (Buffer_pool.alloc_failures pool);
@@ -59,22 +59,22 @@ let test_exhaustion_and_reclaim () =
   ignore (Buffer_pool.take pool id1);
   Alcotest.(check int) "still accounted during reclaim" 2
     (Buffer_pool.units_in_use pool);
-  (match Buffer_pool.add pool (frame 4) with
+  (match Buffer_pool.add pool ~in_port:1 (frame 4) with
   | Buffer_pool.No_space -> ()
   | _ -> Alcotest.fail "still full during reclaim");
   (* Run just past the reclaim lag (but not to the 1 s expiry of the
      other unit). *)
   Engine.run ~until:0.05 engine;
   Alcotest.(check int) "reclaimed" 1 (Buffer_pool.units_in_use pool);
-  ignore (first (Buffer_pool.add pool (frame 5)))
+  ignore (first (Buffer_pool.add pool ~in_port:1 (frame 5)))
 
 let test_stale_generation () =
   let engine = Engine.create () in
   let pool = make_packet ~capacity:1 ~reclaim:0.001 engine in
-  let id1 = first (Buffer_pool.add pool (frame 1)) in
+  let id1 = first (Buffer_pool.add pool ~in_port:1 (frame 1)) in
   ignore (Buffer_pool.take pool id1);
   Engine.run engine;
-  let id2 = first (Buffer_pool.add pool (frame 2)) in
+  let id2 = first (Buffer_pool.add pool ~in_port:1 (frame 2)) in
   Alcotest.(check bool) "slot reused with new id" true
     (not (Int32.equal id1 id2));
   (* The old id must not release the new occupant. *)
@@ -89,7 +89,7 @@ let test_stale_generation () =
 let test_expiry_drops_unreleased () =
   let engine = Engine.create () in
   let pool = make_packet ~capacity:2 ~expiry:0.5 engine in
-  let id = first (Buffer_pool.add pool (frame 1)) in
+  let id = first (Buffer_pool.add pool ~in_port:1 (frame 1)) in
   Engine.run engine;
   Alcotest.(check int) "expired" 1 (Buffer_pool.abandoned_flows pool);
   Alcotest.(check int) "packet dropped" 1 (Buffer_pool.drops pool);
@@ -102,7 +102,7 @@ let test_expiry_drops_unreleased () =
 let test_take_cancels_expiry () =
   let engine = Engine.create () in
   let pool = make_packet ~capacity:2 ~expiry:0.5 engine in
-  let id = first (Buffer_pool.add pool (frame 1)) in
+  let id = first (Buffer_pool.add pool ~in_port:1 (frame 1)) in
   ignore
     (Engine.schedule_at engine 0.1 (fun () -> ignore (Buffer_pool.take pool id)));
   Engine.run engine;
@@ -112,8 +112,8 @@ let test_occupancy_statistics () =
   let engine = Engine.create () in
   let pool = make_packet ~capacity:8 ~reclaim:1e-9 engine in
   (* Occupy 2 units over [0, 1), then 0 afterwards. *)
-  let id1 = first (Buffer_pool.add pool (frame 1)) in
-  let id2 = first (Buffer_pool.add pool (frame 2)) in
+  let id1 = first (Buffer_pool.add pool ~in_port:1 (frame 1)) in
+  let id2 = first (Buffer_pool.add pool ~in_port:1 (frame 2)) in
   ignore
     (Engine.schedule_at engine 1.0 (fun () ->
          ignore (Buffer_pool.take pool id1);
@@ -171,12 +171,12 @@ let test_wipe_cancels_pending_reclaim () =
     (fun () ->
       let engine = Engine.create () in
       (engine, make_packet ~capacity:1 ~reclaim:0.1 engine))
-    (fun pool f -> Buffer_pool.add pool f);
+    (fun pool f -> Buffer_pool.add pool ~in_port:1 f);
   check_mode "flow"
     (fun () ->
       let engine = Engine.create () in
       (engine, make ~capacity:1 ~reclaim:0.1 ~timeout:10.0 engine))
-    (fun pool f -> Buffer_pool.add pool ~key:(key 1) f)
+    (fun pool f -> Buffer_pool.add pool ~key:(key 1) ~in_port:1 f)
 
 let prop_never_exceeds_capacity =
   QCheck.Test.make ~name:"in_use never exceeds capacity" ~count:100
@@ -189,7 +189,7 @@ let prop_never_exceeds_capacity =
       List.iter
         (fun alloc ->
           (if alloc then begin
-             match Buffer_pool.add pool (frame 0) with
+             match Buffer_pool.add pool ~in_port:1 (frame 0) with
              | Buffer_pool.First id -> held := id :: !held
              | Buffer_pool.Appended _ | Buffer_pool.No_space -> ()
            end
@@ -224,10 +224,10 @@ let packet_suite =
 let test_first_then_appended () =
   let engine = Engine.create () in
   let pool = make engine in
-  let id = first (Buffer_pool.add pool ~key:(key 1) (frame 0)) in
+  let id = first (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0)) in
   (* Algorithm 1 line 10-11: same flow's packets share the id, no new
      request. *)
-  (match Buffer_pool.add pool ~key:(key 1) (frame 1) with
+  (match Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 1) with
   | Buffer_pool.Appended id' ->
       Alcotest.(check int32) "same buffer_id" id id'
   | _ -> Alcotest.fail "expected Appended");
@@ -238,17 +238,17 @@ let test_first_then_appended () =
 let test_distinct_flows_distinct_units () =
   let engine = Engine.create () in
   let pool = make engine in
-  let id1 = first (Buffer_pool.add pool ~key:(key 1) (frame 0)) in
-  let id2 = first (Buffer_pool.add pool ~key:(key 2) (frame 0)) in
+  let id1 = first (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0)) in
+  let id2 = first (Buffer_pool.add pool ~key:(key 2) ~in_port:1 (frame 0)) in
   Alcotest.(check bool) "different ids" true (not (Int32.equal id1 id2));
   Alcotest.(check int) "two units" 2 (Buffer_pool.units_in_use pool)
 
 let test_take_all_in_order () =
   let engine = Engine.create () in
   let pool = make engine in
-  let id = first (Buffer_pool.add pool ~key:(key 1) (frame 0)) in
+  let id = first (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0)) in
   for i = 1 to 3 do
-    ignore (Buffer_pool.add pool ~key:(key 1) (frame i))
+    ignore (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame i))
   done;
   (match Buffer_pool.take pool id with
   | Buffer_pool.Taken frames ->
@@ -265,10 +265,10 @@ let test_take_all_in_order () =
 let test_same_flow_after_release_gets_new_unit () =
   let engine = Engine.create () in
   let pool = make ~reclaim:1e-9 engine in
-  let id1 = first (Buffer_pool.add pool ~key:(key 1) (frame 0)) in
+  let id1 = first (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0)) in
   ignore (Buffer_pool.take pool id1);
   (* A new miss of the same flow is a fresh First (new request). *)
-  match Buffer_pool.add pool ~key:(key 1) (frame 1) with
+  match Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 1) with
   | Buffer_pool.First id2 ->
       Alcotest.(check bool) "fresh id" true (not (Int32.equal id1 id2))
   | _ -> Alcotest.fail "expected a fresh First"
@@ -276,13 +276,13 @@ let test_same_flow_after_release_gets_new_unit () =
 let test_no_space () =
   let engine = Engine.create () in
   let pool = make ~capacity:1 engine in
-  ignore (Buffer_pool.add pool ~key:(key 1) (frame 0));
-  (match Buffer_pool.add pool ~key:(key 2) (frame 0) with
+  ignore (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0));
+  (match Buffer_pool.add pool ~key:(key 2) ~in_port:1 (frame 0) with
   | Buffer_pool.No_space -> ()
   | _ -> Alcotest.fail "expected No_space");
   Alcotest.(check int) "failure counted" 1 (Buffer_pool.alloc_failures pool);
   (* But the existing flow can still append. *)
-  match Buffer_pool.add pool ~key:(key 1) (frame 1) with
+  match Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 1) with
   | Buffer_pool.Appended _ -> ()
   | _ -> Alcotest.fail "expected Appended despite full pool"
 
@@ -291,11 +291,11 @@ let test_timeout_resend () =
   let resends = ref [] in
   let pool =
     make ~timeout:0.05 ~max_resends:2
-      ~on_resend:(fun ~buffer_id ~first_frame ->
+      ~on_resend:(fun ~buffer_id ~in_port:_ ~first_frame ->
         resends := (Engine.now engine, buffer_id, first_frame) :: !resends)
       engine
   in
-  let id = first (Buffer_pool.add pool ~key:(key 1) (frame 0)) in
+  let id = first (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0)) in
   (* Nobody answers: expect 2 resends at 50 ms and 100 ms, then the
      chain is dropped at 150 ms. *)
   Engine.run engine;
@@ -315,10 +315,11 @@ let test_release_cancels_timer () =
   let engine = Engine.create () in
   let resends = ref 0 in
   let pool =
-    make ~timeout:0.05 ~on_resend:(fun ~buffer_id:_ ~first_frame:_ -> incr resends)
+    make ~timeout:0.05
+      ~on_resend:(fun ~buffer_id:_ ~in_port:_ ~first_frame:_ -> incr resends)
       engine
   in
-  let id = first (Buffer_pool.add pool ~key:(key 1) (frame 0)) in
+  let id = first (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0)) in
   ignore (Engine.schedule_at engine 0.01 (fun () -> ignore (Buffer_pool.take pool id)));
   Engine.run engine;
   Alcotest.(check int) "no resends after release" 0 !resends
@@ -328,7 +329,7 @@ let test_occupancy_tracking () =
   let pool = make ~capacity:8 ~reclaim:1e-9 ~timeout:10.0 engine in
   let ids =
     List.map
-      (fun n -> first (Buffer_pool.add pool ~key:(key n) (frame n)))
+      (fun n -> first (Buffer_pool.add pool ~key:(key n) ~in_port:1 (frame n)))
       [ 1; 2; 3 ]
   in
   Alcotest.(check int) "max units" 3 (Buffer_pool.max_units_in_use pool);
@@ -343,14 +344,14 @@ let test_expiry_mid_chain () =
      chain — no stranded packets, no double release. *)
   let engine = Engine.create () in
   let pool = make ~timeout:0.05 ~max_resends:2 engine in
-  let id = first (Buffer_pool.add pool ~key:(key 1) (frame 0)) in
+  let id = first (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0)) in
   (* Appends land between the re-requests (resends fire at 50 ms and
      100 ms; the drop at 150 ms). *)
   List.iter
     (fun (t, i) ->
       ignore
         (Engine.schedule_at engine t (fun () ->
-             match Buffer_pool.add pool ~key:(key 1) (frame i) with
+             match Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame i) with
              | Buffer_pool.Appended id' ->
                  Alcotest.(check int32) "appended to the live chain" id id'
              | _ -> Alcotest.fail "expected Appended")))
@@ -367,7 +368,7 @@ let test_expiry_mid_chain () =
   | Buffer_pool.Unknown_id -> ()
   | Buffer_pool.Taken _ -> Alcotest.fail "release after expiry must fail");
   (* A new miss of the same flow is a fresh chain with a fresh id. *)
-  match Buffer_pool.add pool ~key:(key 1) (frame 4) with
+  match Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 4) with
   | Buffer_pool.First id2 ->
       Alcotest.(check bool) "fresh id after expiry" true
         (not (Int32.equal id id2))
@@ -378,15 +379,15 @@ let test_freeze_stops_resends () =
   let resends = ref 0 in
   let pool =
     make ~timeout:0.05 ~max_resends:5
-      ~on_resend:(fun ~buffer_id:_ ~first_frame:_ -> incr resends)
+      ~on_resend:(fun ~buffer_id:_ ~in_port:_ ~first_frame:_ -> incr resends)
       engine
   in
-  ignore (Buffer_pool.add pool ~key:(key 1) (frame 0));
+  ignore (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0));
   ignore (Engine.schedule_at engine 0.01 (fun () -> Buffer_pool.freeze pool));
   (* While frozen, new chains accumulate without arming timers. *)
   ignore
     (Engine.schedule_at engine 0.02 (fun () ->
-         ignore (Buffer_pool.add pool ~key:(key 2) (frame 1))));
+         ignore (Buffer_pool.add pool ~key:(key 2) ~in_port:1 (frame 1))));
   Engine.run ~until:0.5 engine;
   Alcotest.(check int) "no resends while frozen" 0 !resends;
   Alcotest.(check bool) "frozen" true (Buffer_pool.is_frozen pool);
@@ -407,7 +408,7 @@ let test_resume_expires_spent_chains () =
      expired at resume, not re-armed into a fourth life. *)
   let engine = Engine.create () in
   let pool = make ~timeout:0.05 ~max_resends:2 engine in
-  ignore (Buffer_pool.add pool ~key:(key 1) (frame 0));
+  ignore (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0));
   (* Freeze after both resends have fired (t = 0.05, 0.10) but before
      the drop at t = 0.15. *)
   ignore (Engine.schedule_at engine 0.12 (fun () -> Buffer_pool.freeze pool));
@@ -425,7 +426,7 @@ let test_resume_expires_spent_chains () =
 let test_freeze_resume_idempotent () =
   let engine = Engine.create () in
   let pool = make engine in
-  ignore (Buffer_pool.add pool ~key:(key 1) (frame 0));
+  ignore (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0));
   Buffer_pool.freeze pool;
   Buffer_pool.freeze pool;
   Alcotest.(check int) "one freeze" 1 (Buffer_pool.freezes pool);
@@ -441,12 +442,12 @@ let prop_chain_preserves_frames =
       let engine = Engine.create () in
       let pool = make ~capacity:2 ~timeout:100.0 engine in
       let id =
-        match Buffer_pool.add pool ~key:(key 1) (frame 0) with
+        match Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame 0) with
         | Buffer_pool.First id -> id
         | _ -> assert false
       in
       for i = 1 to n - 1 do
-        ignore (Buffer_pool.add pool ~key:(key 1) (frame i))
+        ignore (Buffer_pool.add pool ~key:(key 1) ~in_port:1 (frame i))
       done;
       match Buffer_pool.take pool id with
       | Buffer_pool.Taken frames ->
@@ -597,8 +598,8 @@ let run_against_model ~keyed ~max_resends ops =
         in
         let result =
           match flow with
-          | Some k -> Buffer_pool.add pool ~key:(key k) frame
-          | None -> Buffer_pool.add pool frame
+          | Some k -> Buffer_pool.add pool ~key:(key k) ~in_port:1 frame
+          | None -> Buffer_pool.add pool ~in_port:1 frame
         in
         match (chain, result) with
         | Some u, Buffer_pool.Appended id ->

@@ -2,14 +2,32 @@
 
 open Sdn_sim
 
+(* Events scheduled out of order dispatch in time order, with the
+   clock at each one's time: whole seconds, sub-microsecond spacing,
+   and twelve orders of magnitude from 1e-7 s to 1e5 s. *)
 let test_runs_in_time_order () =
-  let engine = Engine.create () in
-  let order = ref [] in
-  ignore (Engine.schedule_at engine 3.0 (fun () -> order := 3 :: !order));
-  ignore (Engine.schedule_at engine 1.0 (fun () -> order := 1 :: !order));
-  ignore (Engine.schedule_at engine 2.0 (fun () -> order := 2 :: !order));
-  Engine.run engine;
-  Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !order)
+  List.iter
+    (fun (what, times) ->
+      let engine = Engine.create () in
+      let fired = ref [] in
+      List.iter
+        (fun t ->
+          ignore
+            (Engine.schedule_at engine t (fun () ->
+                 fired := (t, Engine.now engine) :: !fired)))
+        times;
+      Engine.run engine;
+      let sorted = List.sort Float.compare times in
+      Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+        what
+        (List.map (fun t -> (t, t)) sorted)
+        (List.rev !fired))
+    [
+      ("seconds", [ 3.0; 1.0; 2.0 ]);
+      ("sub-microsecond", [ 1.0000007; 1.0000001; 1.0000004 ]);
+      ( "1e-7 s to 1e5 s",
+        [ 1.0e5; 6.0e3; 4.2e3; 1.67e1; 6.5e-2; 2.55e-4; 1e-6; 1e-7 ] );
+    ]
 
 let test_fifo_tie_break () =
   let engine = Engine.create () in
@@ -69,10 +87,10 @@ let test_events_schedule_events () =
              incr count;
              chain (n - 1)))
   in
-  chain 10;
+  chain 50;
   Engine.run engine;
-  Alcotest.(check int) "all chained events ran" 10 !count;
-  Alcotest.(check (float 1e-9)) "clock" 1.0 (Engine.now engine)
+  Alcotest.(check int) "all chained events ran" 50 !count;
+  Alcotest.(check (float 1e-9)) "clock" 5.0 (Engine.now engine)
 
 let test_run_until () =
   let engine = Engine.create () in
@@ -182,6 +200,131 @@ let test_cancel_sibling_during_batch () =
   Alcotest.(check bool) "cancelled sibling skipped" false !second_ran;
   Alcotest.(check int) "queue empty" 0 (Engine.pending engine)
 
+(* Randomised schedule / cancel / step_batch scripts against a naive
+   reference. Op encoding: (kind, a) with kind 0-2 = schedule at now
+   plus [a] times one of three delay scales (sub-microsecond,
+   sub-millisecond, tens of milliseconds, so ties and near-ties are
+   common), kind 3 = cancel the handle of the [a]-th scheduled event
+   (modulo their count; it may have fired already), kind 4 =
+   step_batch. Each event's id is its schedule order, which is also
+   its engine sequence number. *)
+type op = Schedule of float | Cancel of int | Batch
+
+let op_of (kind, a) =
+  match kind with
+  | 0 -> Schedule (float_of_int a *. 3.3e-7)
+  | 1 -> Schedule (float_of_int a *. 1.05e-4)
+  | 2 -> Schedule (float_of_int a *. 2.7e-2)
+  | 3 -> Cancel a
+  | _ -> Batch
+
+(* A run's observable outcome: every dispatch as (id, clock), each
+   step_batch's count, [pending] once the script ends, and [processed]
+   after draining the rest. *)
+type outcome = {
+  trace : (int * float) list;
+  batches : int list;
+  pending : int;
+  processed : int;
+}
+
+let run_engine ops =
+  let engine = Engine.create () in
+  let trace = ref [] and batches = ref [] in
+  let handles = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Schedule delay ->
+          let id = Hashtbl.length handles in
+          Hashtbl.add handles id
+            (Engine.schedule engine ~delay (fun () ->
+                 trace := (id, Engine.now engine) :: !trace))
+      | Cancel a ->
+          let n = Hashtbl.length handles in
+          if n > 0 then Engine.cancel (Hashtbl.find handles (a mod n))
+      | Batch -> batches := Engine.step_batch engine :: !batches)
+    ops;
+  let pending = Engine.pending engine in
+  Engine.run engine;
+  {
+    trace = List.rev !trace;
+    batches = List.rev !batches;
+    pending;
+    processed = Engine.processed engine;
+  }
+
+(* The reference keeps every event ever scheduled in a list and
+   dispatches by a linear scan for the least (time, id) among those
+   neither fired nor cancelled. *)
+type model_event = { id : int; time : float; mutable live : bool }
+
+let run_model ops =
+  let clock = ref 0.0 and events = ref [] and count = ref 0 in
+  let trace = ref [] and batches = ref [] in
+  let earliest () =
+    List.fold_left
+      (fun best e ->
+        match best with
+        | _ when not e.live -> best
+        | Some b when Float.compare b.time e.time < 0 -> best
+        | Some b when Float.equal b.time e.time && b.id < e.id -> best
+        | Some _ | None -> Some e)
+      None !events
+  in
+  let fire e =
+    e.live <- false;
+    clock := e.time;
+    trace := (e.id, e.time) :: !trace
+  in
+  let batch () =
+    match earliest () with
+    | None -> 0
+    | Some first ->
+        fire first;
+        let rec more n =
+          match earliest () with
+          | Some e when Float.equal e.time first.time ->
+              fire e;
+              more (n + 1)
+          | Some _ | None -> n
+        in
+        more 1
+  in
+  List.iter
+    (function
+      | Schedule delay ->
+          let e = { id = !count; time = !clock +. delay; live = true } in
+          events := e :: !events;
+          incr count
+      | Cancel a ->
+          if !count > 0 then
+            let target = a mod !count in
+            List.iter (fun e -> if e.id = target then e.live <- false) !events
+      | Batch -> batches := batch () :: !batches)
+    ops;
+  let pending = List.length (List.filter (fun e -> e.live) !events) in
+  while batch () > 0 do
+    ()
+  done;
+  {
+    trace = List.rev !trace;
+    batches = List.rev !batches;
+    pending;
+    processed = List.length !trace;
+  }
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"matches list-model oracle" ~count:300
+    QCheck.(list (pair (int_bound 4) (int_bound 200)))
+    (fun raw ->
+      let ops = List.map op_of raw in
+      let e = run_engine ops and m = run_model ops in
+      List.equal
+        (fun (i, t) (j, u) -> i = j && Float.equal t u)
+        e.trace m.trace
+      && e.batches = m.batches && e.pending = m.pending
+      && e.processed = m.processed)
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_runs_in_time_order;
@@ -205,4 +348,5 @@ let suite =
       test_step_batch_includes_spawned_same_time;
     Alcotest.test_case "cancel sibling during batch" `Quick
       test_cancel_sibling_during_batch;
+    QCheck_alcotest.to_alcotest prop_matches_model;
   ]

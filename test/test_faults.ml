@@ -244,7 +244,7 @@ let test_backoff_schedule () =
     Buffer_pool.create engine ~capacity:4 ~reclaim_lag:0.0
       ~resend_timeout:0.01 ~resend_multiplier:2.0 ~resend_cap:0.04
       ~max_resends:4
-      ~on_resend:(fun ~buffer_id:_ ~first_frame:_ ->
+      ~on_resend:(fun ~buffer_id:_ ~in_port:_ ~first_frame:_ ->
         resend_times := Engine.now engine :: !resend_times)
       ()
   in
@@ -258,7 +258,7 @@ let test_backoff_schedule () =
          ~payload_fill:(fun _ -> ()))
   in
   let key = Option.get (Sdn_net.Packet.peek_flow_key frame) in
-  (match Buffer_pool.add pool ~key frame with
+  (match Buffer_pool.add pool ~key ~in_port:1 frame with
   | Buffer_pool.First _ -> ()
   | _ -> Alcotest.fail "expected First");
   Engine.run ~until:1.0 engine;
@@ -285,7 +285,7 @@ let test_backoff_jitter_envelope () =
       Buffer_pool.create engine ~capacity:4 ~reclaim_lag:0.0
         ~resend_timeout:0.01 ~resend_multiplier:2.0 ~resend_cap:0.04
         ~resend_jitter:0.2 ~rng:(Rng.of_int seed) ~max_resends:4
-        ~on_resend:(fun ~buffer_id:_ ~first_frame:_ ->
+        ~on_resend:(fun ~buffer_id:_ ~in_port:_ ~first_frame:_ ->
           resend_times := Engine.now engine :: !resend_times)
         ()
     in
@@ -300,7 +300,7 @@ let test_backoff_jitter_envelope () =
            ~payload_fill:(fun _ -> ()))
     in
     let key = Option.get (Sdn_net.Packet.peek_flow_key frame) in
-    ignore (Buffer_pool.add pool ~key frame);
+    ignore (Buffer_pool.add pool ~key ~in_port:1 frame);
     Engine.run ~until:1.0 engine;
     List.rev !resend_times
   in

@@ -7,7 +7,6 @@ let () =
       ("sim.rng", Test_rng.suite);
       ("sim.stats", Test_stats.suite);
       ("sim.engine", Test_engine.suite);
-      ("sim.timer_wheel", Test_timer_wheel.suite);
       ("sim.link", Test_link.suite);
       ("sim.faults", Test_faults.suite);
       ("sim.cpu", Test_cpu.suite);

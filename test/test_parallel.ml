@@ -239,8 +239,7 @@ let test_default_grid_labels_distinct () =
        (Chaos.run_policy ~base ()));
   distinct "massive shards"
     (List.map fst
-       (Massive.shard_cells ~flows:1_000_000 ~shards:20 ~event_queue:`Heap
-          ~check:false ~seed:1))
+       (Massive.shard_cells ~flows:1_000_000 ~shards:20 ~check:false ~seed:1))
 
 let test_calibration_jobs_equivalence () =
   let reference = Calibration.sanity ~jobs:1 () in

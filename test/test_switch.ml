@@ -211,6 +211,28 @@ let test_flow_granularity_timeout_resend () =
   Alcotest.(check int) "resend counter" 1
     (Switch.counters h.switch).Switch.pkt_in_resends
 
+(* A re-request reports the port the chain's first frame came in on,
+   not port 1: the controller learns host locations from it. *)
+let test_flow_granularity_resend_keeps_in_port () =
+  let config =
+    {
+      Switch.default_config with
+      Switch.mechanism = Switch.Flow_granularity;
+      resend_timeout = 0.02;
+      max_resends = 1;
+    }
+  in
+  let h = make_harness ~config () in
+  Switch.handle_frame h.switch ~in_port:2 (frame ~src_port:100 ());
+  Engine.run ~until:0.1 h.engine;
+  match pkt_ins h with
+  | [ first; resent ] ->
+      Alcotest.(check int32) "same unit re-requested"
+        first.Of_packet_in.buffer_id resent.Of_packet_in.buffer_id;
+      Alcotest.(check (list int)) "both report the ingress port" [ 2; 2 ]
+        [ first.Of_packet_in.in_port; resent.Of_packet_in.in_port ]
+  | ps -> Alcotest.failf "expected original + resend, got %d" (List.length ps)
+
 let test_stale_buffer_id_error () =
   let h = make_harness () in
   send_of h (Of_codec.Packet_out (Of_packet_out.release ~buffer_id:12345l ~out_port:2));
@@ -337,6 +359,8 @@ let suite =
       test_flow_granularity_release_chain;
     Alcotest.test_case "flow granularity: timeout re-request" `Quick
       test_flow_granularity_timeout_resend;
+    Alcotest.test_case "flow granularity: re-request keeps in_port" `Quick
+      test_flow_granularity_resend_keeps_in_port;
     Alcotest.test_case "stale buffer id raises an error" `Quick
       test_stale_buffer_id_error;
     Alcotest.test_case "handshake replies" `Quick test_handshake_replies;

@@ -23,10 +23,10 @@
    Beyond the relative baseline comparison, [--min NAME=V] and
    [--max NAME=V] (repeatable) pin absolute floors and ceilings on
    candidate metrics: a floor enforces a claimed win outright (e.g.
-   [--min derived/wheel_speedup_1m=2.0] keeps the timer wheel >= 2x the
-   heap at 1M pending regardless of what the baseline drifted to), and
-   a ceiling pins a structural invariant (e.g.
-   [--max micro/SUBJECT/minor-words=0.5] keeps a subject
+   [--min derived/sweep_speedup_jobs4=0.9] keeps four worker domains
+   from running a sweep much slower than one, regardless of what the
+   baseline drifted to), and a ceiling pins a structural invariant
+   (e.g. [--max micro/SUBJECT/minor-words=0.5] keeps a subject
    allocation-free with room for measurement jitter, not for a real
    allocation). A named metric absent from the candidate is an error.
 

@@ -7,6 +7,7 @@ let () =
       ("sim.rng", Test_rng.suite);
       ("sim.stats", Test_stats.suite);
       ("sim.engine", Test_engine.suite);
+      ("sim.timer_wheel", Test_engine.Queue_contract.suite);
       ("sim.link", Test_link.suite);
       ("sim.faults", Test_faults.suite);
       ("sim.cpu", Test_cpu.suite);
